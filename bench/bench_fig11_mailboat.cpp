@@ -181,9 +181,9 @@ ScaleResult RunScaleCellOnce(const ScaleConfig& sc) {
   // storage stack, set the measured ceiling.
   config.users = 64;
   config.group_commit = sc.group_commit;
-  // Wide window, adaptive early close (GroupCommitter quiet_us): the
-  // committer holds the batch only while requests keep arriving, so the
-  // window is a cap on batch accumulation, not a per-barrier sleep.
+  // Wide cap on the batch window: the committer holds a batch for the
+  // measured mean barrier time, so on a slow disk it may wait up to 2 ms
+  // for company, and on a fast one the window stays short.
   config.gc_window_us = 2000;
   config.gc_batch = 256;
   config.loops = sc.loops;

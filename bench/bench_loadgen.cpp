@@ -7,7 +7,7 @@
 //   bench_loadgen --smtp-port=2525 --pop3-port=1110 --clients=256
 //
 // Prints one summary line: requests, errors, wall, req/s, p50/p99 latency,
-// and (in-proc only) the group-commit batch/dedup counters.
+// and (in-proc only) the group-commit batch, mean-barrier and dedup counters.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -156,9 +156,14 @@ int main(int argc, char** argv) {
   }
   if (server != nullptr) {
     const auto& stats = server->committer()->stats();
-    std::printf("group_commit: requests=%llu batches=%llu fsyncs=%llu deduped=%llu\n",
+    uint64_t batches = stats.batches.load();
+    std::printf("group_commit: requests=%llu batches=%llu barrier_us_mean=%.1f fsyncs=%llu "
+                "deduped=%llu\n",
                 static_cast<unsigned long long>(stats.requests.load()),
-                static_cast<unsigned long long>(stats.batches.load()),
+                static_cast<unsigned long long>(batches),
+                batches == 0 ? 0.0
+                             : static_cast<double>(stats.barrier_ns.load()) / 1000.0 /
+                                   static_cast<double>(batches),
                 static_cast<unsigned long long>(stats.fsyncs_issued.load()),
                 static_cast<unsigned long long>(stats.deduped.load()));
     server->Stop();

@@ -87,10 +87,13 @@ Status GroupCommitter::Fsync(int fd) {
   }
   if (open_ == nullptr) {
     open_ = std::make_shared<Batch>();
+    open_->opened_at = std::chrono::steady_clock::now();
+    open_->hold = barrier_in_flight_ || last_riders_ > 1;
     work_cv_.notify_one();
   }
   std::shared_ptr<Batch> batch = open_;
   batch->fds.push_back(fd);
+  stats_.requests.fetch_add(1, std::memory_order_relaxed);
   if (batch->fds.size() >= options_.max_batch) {
     work_cv_.notify_one();
   }
@@ -106,38 +109,36 @@ void GroupCommitter::CommitterMain() {
       // stop with no pending work
       return;
     }
-    // Hold the batch open for the latency window (or until it fills), but
-    // close early once arrivals go quiet: sessions blocked on THIS barrier
-    // cannot submit again until it commits, so a quiet period means the
-    // stragglers we are waiting for do not exist and the rest of the window
-    // would be pure idle time.
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::microseconds(options_.max_wait_us);
-    uint64_t quiet = std::min(options_.quiet_us, options_.max_wait_us);
-    for (;;) {
-      size_t before = open_->fds.size();
-      if (before >= options_.max_batch || stop_) {
-        break;
-      }
-      auto slice = std::chrono::steady_clock::now() + std::chrono::microseconds(quiet);
-      bool closed = work_cv_.wait_until(lock, std::min(slice, deadline), [&] {
+    // Hold the batch open for one mean barrier time since it opened (at
+    // most max_wait_us): a session that would arrive within that time
+    // costs less waiting here than paying for a barrier of its own. A batch
+    // that opened while the previous barrier was in flight is usually past
+    // its window already and closes at once; one with no company in sight
+    // closes at once too.
+    if (open_->hold) {
+      auto window = std::min(std::chrono::nanoseconds(avg_barrier_ns_),
+                             std::chrono::nanoseconds(std::chrono::microseconds(options_.max_wait_us)));
+      work_cv_.wait_until(lock, open_->opened_at + window, [&] {
         return stop_ || open_->fds.size() >= options_.max_batch;
       });
-      if (closed || std::chrono::steady_clock::now() >= deadline) {
-        break;
-      }
-      if (open_->fds.size() == before) {
-        break;  // a full quiet slice with no arrivals: commit now
-      }
     }
     std::shared_ptr<Batch> batch = std::move(open_);
     open_ = nullptr;
+    last_riders_ = batch->fds.size();
+    barrier_in_flight_ = true;
     std::vector<int> fds = batch->fds;  // fds stay open: every owner is blocked in Fsync()
     lock.unlock();
 
+    auto start = std::chrono::steady_clock::now();
     Status s = IssueBarrier(std::move(fds));
+    auto took = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() - start)
+            .count());
 
     lock.lock();
-    stats_.requests.fetch_add(batch->fds.size(), std::memory_order_relaxed);
+    barrier_in_flight_ = false;
+    avg_barrier_ns_ = (took + 3 * avg_barrier_ns_) / 4;
+    stats_.barrier_ns.fetch_add(took, std::memory_order_relaxed);
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
     if (s.ok()) {
       // The barrier covered everything dirty at close time. Under kSyncfs
@@ -164,7 +165,6 @@ void GroupCommitter::CommitterMain() {
       if (open_ != nullptr) {
         std::shared_ptr<Batch> doomed = std::move(open_);
         open_ = nullptr;
-        stats_.requests.fetch_add(doomed->fds.size(), std::memory_order_relaxed);
         doomed->status = Status::Failed("group commit: preceding barrier failed (" +
                                         s.ToString() + ")");
         doomed->committed = true;

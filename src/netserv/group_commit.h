@@ -5,11 +5,24 @@
 // entry, mailbox-dir entry, spool-dir removal). Served naively, each session
 // pays each one at full device latency. GroupCommitter implements the
 // goosefs::Fsyncer seam: callers enqueue their fd and block; a committer
-// thread closes the batch after a bounded latency window (or a batch-size
-// cap, whichever first) and issues ONE barrier for everyone — then wakes the
-// whole batch. Per-message fsync cost drops to O(1/batch) while every
+// thread closes the batch and issues ONE barrier for everyone — then wakes
+// the whole batch. Per-message fsync cost drops to O(1/batch) while every
 // acknowledgment still happens strictly after its durability point, so the
 // acked ⇒ durable contract the crash harness checks is unchanged.
+//
+// The batch window follows the device, as jbd2's does: a batch closes once
+// it has been open for the measured mean barrier time (a running average,
+// avg = (took + 3·avg) / 4, of what IssueBarrier took), capped by
+// max_wait_us, or earlier at max_batch or Stop. Where a barrier is
+// expensive, waiting about one barrier's time gathers the sessions that
+// would otherwise pay their own; where it is nearly free (tmpfs), the window
+// shrinks to nothing and batching comes only from requests that queue while
+// the previous barrier is in flight.
+//
+// The window is held only when there is company to wait for: the batch
+// opened while a barrier was in flight, or the previous batch had more than
+// one rider. Otherwise it closes at once, so a lone sequential syncer never
+// waits on itself (jbd2 skips the wait for its last sync writer likewise).
 //
 // Two barrier flavors:
 //  * kSyncfs (default): one syncfs() on the store's filesystem persists all
@@ -41,6 +54,7 @@
 #define PERENNIAL_SRC_NETSERV_GROUP_COMMIT_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -63,15 +77,9 @@ class GroupCommitter : public goosefs::Fsyncer {
   };
 
   struct Options {
-    // Latency window: how long the committer holds a batch open after its
-    // first request, hoping for company. Bounded so a lone request is never
-    // stuck behind an idle server.
+    // Cap on the batch window (jbd2's j_max_batch_time): a batch is held
+    // open for the mean barrier time, but never longer than this.
     uint64_t max_wait_us = 500;
-    // Adaptive early close (jbd2-style): if no new request joins the batch
-    // for this long, everyone who was going to arrive has arrived — commit
-    // now instead of sleeping out the rest of the window. Set equal to
-    // max_wait_us to disable and always hold the full window.
-    uint64_t quiet_us = 50;
     // Close the batch early once this many requests have queued.
     uint64_t max_batch = 64;
     Barrier barrier = Barrier::kSyncfs;
@@ -85,8 +93,9 @@ class GroupCommitter : public goosefs::Fsyncer {
   };
 
   struct Stats {
-    std::atomic<uint64_t> requests{0};       // Fsync() calls served by batches
+    std::atomic<uint64_t> requests{0};       // Fsync() calls that joined a batch
     std::atomic<uint64_t> batches{0};        // barriers issued
+    std::atomic<uint64_t> barrier_ns{0};     // time spent in barriers, summed
     std::atomic<uint64_t> fsyncs_issued{0};  // actual syncfs/fsync syscalls
     std::atomic<uint64_t> deduped{0};        // requests absorbed by fd dedup
     std::atomic<uint64_t> failed_batches{0};  // barriers that returned an error
@@ -118,6 +127,8 @@ class GroupCommitter : public goosefs::Fsyncer {
 
  private:
   struct Batch {
+    std::chrono::steady_clock::time_point opened_at;
+    bool hold = false;  // wait out the window: there is company to gather
     std::vector<int> fds;
     bool committed = false;
     Status status;
@@ -139,6 +150,10 @@ class GroupCommitter : public goosefs::Fsyncer {
   std::shared_ptr<Batch> open_;      // batch accepting requests, or null
   bool running_ = false;
   bool stop_ = false;
+  // Running average of the barrier's duration: the batch window.
+  uint64_t avg_barrier_ns_ = 0;
+  bool barrier_in_flight_ = false;
+  uint64_t last_riders_ = 0;  // requests in the most recently closed batch
   // Sticky-failure tracking (see the header comment): file fds with
   // unsynced appends, and fds whose dirty pages a failed barrier dropped.
   std::unordered_set<int> dirty_;

@@ -427,8 +427,10 @@ bool MailNetServer::Start() {
   for (auto& loop : loops_) {
     loop->StartThread();
   }
+  executor_slots_ = std::make_unique<Executor[]>(options_.num_executors);
+  executors_used_.store(0, std::memory_order_relaxed);
   for (uint64_t i = 0; i < options_.num_executors; ++i) {
-    executors_.emplace_back([this, i] { ExecutorMain(i); });
+    executors_.emplace_back([this, i] { ExecutorMain(&executor_slots_[i], i); });
   }
   acceptor_ = std::thread([this] { AcceptorMain(); });
   started_ = true;
@@ -441,7 +443,17 @@ void MailNetServer::Stop() {
   }
   stop_.store(true, std::memory_order_relaxed);
   acceptor_.join();
-  work_cv_.notify_all();
+  {
+    // Under work_mu_, so an executor between its stop check and its wait
+    // cannot miss the wake-up: it is either on the stack already or will
+    // see stop_ when it next takes the lock.
+    std::scoped_lock lock(work_mu_);
+    for (Executor* idle : idle_) {
+      idle->woken = true;
+      idle->cv.notify_one();
+    }
+    idle_.clear();
+  }
   for (auto& t : executors_) {
     t.join();
   }
@@ -507,9 +519,11 @@ void MailNetServer::AcceptorMain() {
               which == 0
                   ? (drain ? "421 server shutting down\r\n" : "421 too busy, try again later\r\n")
                   : (drain ? "-ERR server shutting down\r\n" : "-ERR busy, try again later\r\n");
+          // Counted before the farewell, so a peer that saw it also sees
+          // the count.
+          shed_connects_.fetch_add(1, std::memory_order_relaxed);
           (void)SendSome(cfd, msg, std::strlen(msg));
           ::close(cfd);
-          shed_connects_.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
         live_conns_.fetch_add(1, std::memory_order_relaxed);
@@ -553,24 +567,42 @@ void MailNetServer::ReleaseInputStorage(std::vector<char> storage) {
 }
 
 void MailNetServer::EnqueueWork(std::shared_ptr<Conn> conn) {
+  Executor* wake = nullptr;
   {
     std::scoped_lock lock(work_mu_);
     work_.push_back(std::move(conn));
+    if (!idle_.empty()) {
+      wake = idle_.back();
+      idle_.pop_back();
+      wake->woken = true;
+    }
   }
-  work_cv_.notify_one();
+  if (wake != nullptr) {
+    wake->cv.notify_one();
+  }
 }
 
-void MailNetServer::ExecutorMain(uint64_t executor_id) {
+void MailNetServer::ExecutorMain(Executor* self, uint64_t executor_id) {
   for (;;) {
     std::shared_ptr<Conn> conn;
     {
       std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [&] { return stop_.load(std::memory_order_relaxed) || !work_.empty(); });
+      // Another executor may take the work this one was woken for; then it
+      // goes back on top of the idle stack.
+      while (!stop_.load(std::memory_order_relaxed) && work_.empty()) {
+        self->woken = false;
+        idle_.push_back(self);
+        self->cv.wait(lock, [&] { return self->woken; });
+      }
       if (stop_.load(std::memory_order_relaxed)) {
         return;  // queued connections die with the server
       }
       conn = std::move(work_.front());
       work_.pop_front();
+    }
+    if (!self->used) {
+      self->used = true;
+      executors_used_.fetch_add(1, std::memory_order_relaxed);
     }
     ServeConn(conn, executor_id);
   }

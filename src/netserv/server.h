@@ -13,7 +13,9 @@
 //     (SmtpSession / Pop3Session over MailApi) one line at a time via
 //     proc::RunSync. Executors are the only threads that touch the store,
 //     so they are the only threads that block (on locks and on the group
-//     commit barrier).
+//     commit barrier). Idle executors wait on a LIFO stack: new work goes
+//     to the most recently idle one, so only as many executors run (and
+//     keep warm caches and malloc arenas) as the load needs; M is a cap.
 //
 // Sizing rule: a POP3 session holds its user's pickup lock from PASS to
 // QUIT, and a blocked Lock() pins an executor. Configure at least as many
@@ -104,6 +106,8 @@ class MailNetServer {
   uint64_t shed_connects() const { return shed_connects_.load(std::memory_order_relaxed); }
   // Connections reaped by the idle deadline.
   uint64_t idle_reaped() const { return idle_reaped_.load(std::memory_order_relaxed); }
+  // Executors that have served at least one connection since Start.
+  uint64_t executors_used() const { return executors_used_.load(std::memory_order_relaxed); }
   uint64_t live_conns() const {
     int64_t n = live_conns_.load(std::memory_order_relaxed);
     return n > 0 ? static_cast<uint64_t>(n) : 0;
@@ -141,8 +145,16 @@ class MailNetServer {
     std::unique_ptr<smtp::Pop3Session> pop3;
   };
 
+  // One per executor thread; outlives the threads so a waker may notify
+  // after releasing work_mu_.
+  struct Executor {
+    std::condition_variable cv;
+    bool woken = false;  // guarded by work_mu_
+    bool used = false;   // touched only by the executor's own thread
+  };
+
   void AcceptorMain();
-  void ExecutorMain(uint64_t executor_id);
+  void ExecutorMain(Executor* self, uint64_t executor_id);
   // Runs session lines until the conn's queue drains; called by executors.
   void ServeConn(const std::shared_ptr<Conn>& conn, uint64_t executor_id);
   void EnqueueWork(std::shared_ptr<Conn> conn);  // executing flag already set
@@ -173,11 +185,12 @@ class MailNetServer {
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::thread acceptor_;
+  std::unique_ptr<Executor[]> executor_slots_;
   std::vector<std::thread> executors_;
 
   std::mutex work_mu_;
-  std::condition_variable work_cv_;
   std::deque<std::shared_ptr<Conn>> work_;
+  std::vector<Executor*> idle_;  // waiting executors; back = most recently idle
 
   std::mutex pool_mu_;
   std::vector<std::vector<char>> input_pool_;
@@ -187,6 +200,7 @@ class MailNetServer {
   std::atomic<uint64_t> next_loop_{0};
   std::atomic<uint64_t> shed_connects_{0};
   std::atomic<uint64_t> idle_reaped_{0};
+  std::atomic<uint64_t> executors_used_{0};
   // Signed so a transient retire-before-accept race can't wrap to 2^64.
   std::atomic<int64_t> live_conns_{0};
   std::atomic<bool> draining_{false};

@@ -7,10 +7,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -422,6 +427,34 @@ TEST(NetservTest, ConcurrentSessionsInterleave) {
   server.Stop();
 }
 
+// FsSyscalls whose fsync waits at a gate until the test opens it, so one
+// batch can be held in flight while the next one forms behind it.
+struct GatedSyncSys : fault::FsSyscalls {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  int entered = 0;
+
+  int Fsync(int fd) override {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ++entered;
+      cv.notify_all();
+      cv.wait(lock, [&] { return open; });
+    }
+    return fault::FsSyscalls::Fsync(fd);
+  }
+  void WaitEntered(int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered >= n; });
+  }
+  void Open() {
+    std::scoped_lock lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+};
+
 TEST(NetservTest, GroupCommitterBatchesAndDedupes) {
   std::string root = TestRoot("gc-dedup");
   ::mkdir(root.c_str(), 0755);
@@ -431,39 +464,138 @@ TEST(NetservTest, GroupCommitterBatchesAndDedupes) {
   int fd2 = ::open(path.c_str(), O_RDWR);
   ASSERT_GE(fd2, 0);
 
+  GatedSyncSys gate;
   GroupCommitter committer(GroupCommitter::Options{
-      .max_wait_us = 200 * 1000,  // wide window: all threads join one batch
-      .quiet_us = 200 * 1000,     // disable adaptive early close for determinism
+      .max_wait_us = 10 * 1000 * 1000,
       .max_batch = 64,
       .barrier = GroupCommitter::Barrier::kFsyncPerFd,
+      .sys = &gate,
   });
   committer.Start();
 
+  // Batch 1: a lone request whose barrier stays at the gate.
+  std::thread leader([&] { EXPECT_TRUE(committer.Fsync(fd).ok()); });
+  gate.WaitEntered(1);
+
+  // The herd queues into batch 2, which cannot close while batch 1 is in
+  // flight; the gate opens only once every member has joined it.
   constexpr int kThreads = 8;
-  std::atomic<int> ready{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) {
-      }
       // Two distinct fds across the herd; everything else is duplicate.
       Status s = committer.Fsync(t == 0 ? fd2 : fd);
       EXPECT_TRUE(s.ok()) << s.ToString();
     });
   }
+  while (committer.stats().requests.load() < 1 + kThreads) {
+    std::this_thread::yield();
+  }
+  gate.Open();
+  leader.join();
   for (auto& th : threads) {
     th.join();
   }
   committer.Stop();
 
+  // Totals minus batch 1 (1 request, 1 barrier, 1 fsync, nothing deduped):
+  // the herd's 8 requests took one barrier of 2 fsyncs, 6 deduped.
   const auto& stats = committer.stats();
-  EXPECT_EQ(stats.requests.load(), static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(stats.batches.load(), 1u);
-  EXPECT_EQ(stats.fsyncs_issued.load(), 2u);  // one per unique fd
+  EXPECT_EQ(stats.requests.load() - 1, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(stats.batches.load() - 1, 1u);
+  EXPECT_EQ(stats.fsyncs_issued.load() - 1, 2u);  // one per unique fd
   EXPECT_EQ(stats.deduped.load(), static_cast<uint64_t>(kThreads - 2));
   ::close(fd);
   ::close(fd2);
+}
+
+// FsSyscalls whose fsync costs `delay` and touches no file.
+struct TimedSyncSys : fault::FsSyscalls {
+  std::chrono::microseconds delay{0};
+  int Fsync(int) override {
+    if (delay.count() > 0) {
+      std::this_thread::sleep_for(delay);
+    }
+    return 0;
+  }
+};
+
+// The window is one mean barrier time: with an instant barrier it is no
+// latency floor, however large the max_wait_us cap.
+TEST(NetservTest, GroupCommitWindowFollowsBarrierCost) {
+  TimedSyncSys instant;
+  GroupCommitter committer(GroupCommitter::Options{
+      .max_wait_us = 10 * 1000 * 1000,
+      .barrier = GroupCommitter::Barrier::kFsyncPerFd,
+      .sys = &instant,
+  });
+  committer.Start();
+  for (int i = 0; i < 100; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(committer.Fsync(3).ok());
+    ASSERT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1)) << "call " << i;
+  }
+  committer.Stop();
+  EXPECT_EQ(committer.stats().batches.load(), 100u);
+}
+
+// A lone sequential syncer has no company to wait for: on slow media each
+// call costs one barrier, not a barrier plus a window waited on itself.
+TEST(NetservTest, GroupCommitLoneSyncerSkipsWindow) {
+  TimedSyncSys slow;
+  slow.delay = std::chrono::milliseconds(5);
+  GroupCommitter committer(GroupCommitter::Options{
+      .max_wait_us = 10 * 1000 * 1000,
+      .barrier = GroupCommitter::Barrier::kFsyncPerFd,
+      .sys = &slow,
+  });
+  committer.Start();
+  // Warm-up: the mean barrier time climbs toward the barrier's 5 ms.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(committer.Fsync(3).ok());
+  }
+  std::vector<std::chrono::steady_clock::duration> took;
+  for (int i = 0; i < 20; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(committer.Fsync(3).ok());
+    took.push_back(std::chrono::steady_clock::now() - start);
+  }
+  committer.Stop();
+  // Waiting out the window would make each call about 2 barriers (10 ms).
+  std::sort(took.begin(), took.end());
+  EXPECT_LT(took[took.size() / 2], std::chrono::microseconds(7500));
+  EXPECT_EQ(committer.stats().batches.load(), 30u);
+}
+
+// On slow media, sessions that arrive while a barrier is in flight share
+// the next one.
+TEST(NetservTest, GroupCommitBatchesOnSlowBarriers) {
+  TimedSyncSys slow;
+  slow.delay = std::chrono::milliseconds(2);
+  GroupCommitter committer(GroupCommitter::Options{
+      .barrier = GroupCommitter::Barrier::kFsyncPerFd,
+      .sys = &slow,
+  });
+  committer.Start();
+  constexpr int kRiders = 8;
+  constexpr int kRounds = 10;
+  std::vector<std::thread> riders;
+  for (int t = 0; t < kRiders; ++t) {
+    riders.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        EXPECT_TRUE(committer.Fsync(100 + t).ok());
+      }
+    });
+  }
+  for (auto& th : riders) {
+    th.join();
+  }
+  committer.Stop();
+  const auto& stats = committer.stats();
+  EXPECT_EQ(stats.requests.load(), static_cast<uint64_t>(kRiders * kRounds));
+  EXPECT_LT(stats.batches.load(), stats.requests.load());
+  // Every barrier slept at least its 2 ms, and barrier_ns saw it.
+  EXPECT_GE(stats.barrier_ns.load(), stats.fsyncs_issued.load() * 2 * 1000 * 1000);
 }
 
 TEST(NetservTest, GroupCommitterFallsBackAfterStop) {
@@ -834,6 +966,56 @@ TEST(NetservTest, ServerStartStopIsClean) {
     ExpectPrefix(conn, "221");
     server.Stop();
   }
+}
+
+// Idle executors are woken newest-first, so a sequential client keeps
+// landing on the same warm executor or two instead of rotating through the
+// pool (oldest-first wake-ups would use all 64). An executor flushes its
+// reply before it is back on the idle stack, so the next request can wake
+// another one; a late wake-up can then pull in a third, hence the slack.
+TEST(NetservTest, SequentialClientUsesFewExecutors) {
+  InprocMailServer::Config config = SmallConfig(TestRoot("lifo"));
+  config.executors = 64;
+  InprocMailServer server(config);
+  ASSERT_TRUE(server.Start());
+  BlockingLineConn conn(ConnectTcp(server.smtp_port()));
+  ASSERT_GE(conn.fd(), 0);
+  ExpectPrefix(conn, "220");
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(conn.WriteLine("NOOP"));
+    ExpectPrefix(conn, "250");
+  }
+  ASSERT_TRUE(conn.WriteLine("QUIT"));
+  ExpectPrefix(conn, "221");
+  EXPECT_GE(server.server()->executors_used(), 1u);
+  EXPECT_LE(server.server()->executors_used(), 8u);
+  server.Stop();
+}
+
+// Stop must wake every idle executor, however their waits interleave with
+// it: a missed wake-up hangs Stop's join. A watchdog turns a hang into a
+// failure.
+TEST(NetservTest, RepeatedStartStopNeverHangs) {
+  std::atomic<bool> done{false};
+  std::thread watchdog([&] {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (!done.load()) {
+      std::fprintf(stderr, "RepeatedStartStopNeverHangs: Stop hung\n");
+      std::abort();
+    }
+  });
+  InprocMailServer::Config config = SmallConfig(TestRoot("start-stop-200"));
+  config.executors = 64;
+  for (int i = 0; i < 200; ++i) {
+    InprocMailServer server(config);
+    ASSERT_TRUE(server.Start());
+    server.Stop();
+  }
+  done.store(true);
+  watchdog.join();
 }
 
 }  // namespace
