@@ -17,9 +17,9 @@
 // path: the explorer chooses where the arm lands between atomic steps, and
 // the scheduler determines which operation is "next". The DFS explorer
 // therefore enumerates fault placements exactly like crash points, the
-// ParallelExplorer partitions them with the same prefix scheme, and the
-// RandomDriver samples them with ExplorerOptions::env_probability. No fault
-// ever fires from wall-clock time or unseeded randomness.
+// ParallelExplorer partitions them with the same prefix scheme, and PCT
+// mode (PctDriver) samples them with ExplorerOptions::env_probability. No
+// fault ever fires from wall-clock time or unseeded randomness.
 #ifndef PERENNIAL_SRC_FAULT_FAULT_H_
 #define PERENNIAL_SRC_FAULT_FAULT_H_
 

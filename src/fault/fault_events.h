@@ -3,8 +3,8 @@
 // AltKind::kEnv alternative at every decision point. The event's budget is
 // the plan's budget, enforced by the explorer's per-execution env_budget —
 // the same machinery that bounds fail-stop disk failures, which is what
-// makes serial DFS, ParallelExplorer prefix partitioning, and RandomDriver
-// sampling (env_probability) all cover fault placements without new code.
+// makes serial DFS, ParallelExplorer prefix partitioning, and PCT sampling
+// (env_probability) all cover fault placements without new code.
 #ifndef PERENNIAL_SRC_FAULT_FAULT_EVENTS_H_
 #define PERENNIAL_SRC_FAULT_FAULT_EVENTS_H_
 

@@ -47,20 +47,22 @@ namespace perennial::refine {
 // with prefix = {batch, lo, hi} and next_path = {next_run}.
 inline constexpr uint32_t kCheckpointVersion = 2;
 
-// One work-item subtree's durable state. The engines use this struct
-// directly as their in-memory work list, so checkpointing is a snapshot of
+// One work item's durable state: a DFS subtree or a PCT slice (the
+// encoding is Explorer::RunItem's). The item scheduler uses this struct
+// directly as its in-memory work list, so checkpointing is a snapshot of
 // the list, not a translation.
 struct CheckpointSubtree {
   enum class State : uint8_t { kPending = 0, kInProgress = 1, kDone = 2 };
 
   State state = State::kPending;
   // The partition prefix this item owns (empty for the serial whole-tree
-  // item) and the odometer floor pinning it.
+  // item; {batch, lo, hi} for a PCT slice) and the odometer floor pinning it.
   std::vector<size_t> prefix;
   size_t floor = 0;
   // kInProgress only: the exact decision path of the next execution to run
-  // and the POR level bookkeeping valid along it. For kPending items these
-  // hold the enumeration-provided seed (next_path == prefix).
+  // (a PCT slice: {next run}). por_levels is the POR level bookkeeping
+  // valid along it — for a kPending item, the enumeration-provided seed
+  // along the prefix.
   std::vector<size_t> next_path;
   std::vector<detail::PorLevel> por_levels;
   // The subtree's Report so far (complete for kDone).
@@ -69,7 +71,7 @@ struct CheckpointSubtree {
 
 struct CheckpointData {
   uint64_t config_fp = 0;
-  bool parallel = false;  // engine that wrote it (informational; either resumes)
+  bool parallel = false;  // written by more than one worker (informational; either resumes)
   RunOutcome outcome = RunOutcome::kComplete;
   std::vector<CheckpointSubtree> subtrees;
   // Verdict-cache contents at save time (dedup_histories runs only).

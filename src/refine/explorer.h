@@ -5,7 +5,7 @@
 // by deduction, the explorer covers them by enumeration: it drives the
 // modeled system (coroutine threads over the deterministic scheduler)
 // through either every schedule up to configured bounds (exhaustive DFS) or
-// a randomized sample, injecting machine crashes between any two atomic
+// a PCT sample (DESIGN.md §12), injecting machine crashes between any two atomic
 // steps — including during recovery — and environment events such as disk
 // failures. Every execution yields a history that is checked for
 // concurrent recovery refinement (linearize.h), and registered crash
@@ -46,16 +46,21 @@
 // assume the sibling subtree was explored in full, so max_preemptions >= 0
 // disables POR rather than compound two incomparable reductions.
 //
-// Parallelism: this header is the single-threaded reference engine. The
-// decision tree it walks is prefix-partitionable — every execution is fully
+// One exploration engine: every run is a list of work items, each a DFS
+// subtree (a decision-path prefix) or a PCT slice (a run range of one
+// seed batch), driven by ItemScheduler's claim -> run -> commit loop.
+// Explorer::Run() is that loop with one worker on the calling thread;
+// ParallelExplorer (parallel_explorer.h) is the same loop with N workers.
+// The decision tree is prefix-partitionable — every execution is fully
 // determined by its decision path, and factories are required to be
-// deterministic — so ParallelExplorer (parallel_explorer.h) enumerates
-// decision-path prefixes via EnumerateSubtreePrefixes() and hands each
-// disjoint subtree to a worker that re-runs this engine via
-// RunDfsSubtree(). Work items carry the POR bookkeeping for their prefix
-// (the footprints of already-explored sibling alternatives), so workers
-// reconstruct exactly the serial engine's sleep sets. Two further knobs
-// support that use:
+// deterministic — so ParallelExplorer enumerates decision-path prefixes
+// via EnumerateSubtreePrefixes() and each worker re-runs this engine on
+// its items via RunItem(). Work items carry the POR bookkeeping for their
+// prefix (the footprints of already-explored sibling alternatives), so
+// workers reconstruct exactly the serial engine's sleep sets. The work
+// list is also the checkpoint payload (checkpoint.h), so resuming,
+// checkpointing and merging are the same code for any worker count. Two
+// further knobs support parallel use:
 //   * dedup_histories — fingerprint completed histories (src/base/hash.h)
 //     and skip the linearizability search for repeats. Sound because the
 //     spec check depends only on the history, every execution still runs in
@@ -70,15 +75,20 @@
 #define PERENNIAL_SRC_REFINE_EXPLORER_H_
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <stop_token>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -180,7 +190,9 @@ struct ExplorerProgress {
 };
 
 struct ExplorerOptions {
-  enum class Mode { kExhaustive, kRandom, kPct };
+  // kPct keeps the value 2 it had next to the removed plain random mode:
+  // ExplorationConfigFp mixes it in, so older PCT checkpoints still resume.
+  enum class Mode { kExhaustive = 0, kPct = 2 };
   Mode mode = Mode::kExhaustive;
 
   int max_crashes = 1;                  // crashes injected per execution
@@ -193,8 +205,8 @@ struct ExplorerOptions {
   uint64_t max_executions = 2'000'000;  // DFS safety cap
   int max_violations = 3;               // stop collecting after this many
 
-  // Random and PCT modes:
-  uint64_t random_runs = 1000;      // executions sampled (per swarm batch in PCT mode)
+  // PCT mode:
+  uint64_t random_runs = 1000;      // executions sampled (per swarm batch)
   uint64_t seed = 1;
   double crash_probability = 0.05;  // per-step chance of injecting a crash
   double env_probability = 0.05;    // per-step chance of firing an env event
@@ -210,9 +222,9 @@ struct ExplorerOptions {
   // under an execution budget cannot make, because DFS covers the decision
   // tree suffix-first and a bug needing an EARLY deviation sits at the far
   // end of its enumeration order. Crash and environment alternatives stay
-  // in scope via the same per-step probability draws random mode uses, so
-  // crash placement and fault injection are sampled on top of the PCT
-  // thread schedule. Every run's seed is derived from (seed, batch, run
+  // in scope via per-step probability draws (crash_probability,
+  // env_probability), so crash placement and fault injection are sampled on
+  // top of the PCT thread schedule. Every run's seed is derived from (seed, batch, run
   // index) alone, so reports are bit-identical across serial/parallel
   // engines, worker counts, and checkpoint/resume splits (dedup counters
   // excepted — see dedup_histories note below).
@@ -249,9 +261,9 @@ struct ExplorerOptions {
   // cache is not re-counted), which several equivalence tests compare.
   bool memoize_spec_prefixes = false;
 
-  // Observability: invoked every progress_interval executions with
-  // cumulative counts. Under ParallelExplorer the callback fires on worker
-  // threads, one caller at a time (serialized by an internal mutex).
+  // Observability: invoked every progress_interval executions with counts
+  // cumulative over the run. Under ParallelExplorer the callback fires on
+  // worker threads, one caller at a time (serialized by an internal mutex).
   std::function<void(const ExplorerProgress&)> progress_callback;
   uint64_t progress_interval = 1024;
 
@@ -268,8 +280,9 @@ struct ExplorerOptions {
   // execution in flight, flushes a checkpoint (when checkpoint_path is
   // set), and returns a partial Report tagged with the outcome.
 
-  // Wall-clock budget for the whole run, measured from Run() (or the first
-  // RunDfsSubtree a ParallelExplorer worker executes). 0 = none.
+  // Wall-clock budget for the whole run, measured from Run() (and, for a
+  // ParallelExplorer worker's own mid-execution check, from its first
+  // item). 0 = none.
   uint64_t wall_deadline_ms = 0;
   // Budget for ACCOUNTED memory: the linearizer's retained arena plus the
   // memo caches (which also get per-cache byte caps with whole-shard
@@ -296,25 +309,24 @@ struct ExplorerOptions {
   // rejected (stderr warning) and the run starts from scratch.
   std::string resume_path;
   // Periodic checkpoint cadence while the run is healthy: every N
-  // executions and/or every N seconds (whichever fires first). 0 = only on
-  // stop/completion. Exhaustive and PCT modes (plain random mode is not
-  // resumable).
+  // executions and/or every N seconds (whichever fires first), checked at
+  // execution boundaries. 0 = only on stop/completion.
   uint64_t checkpoint_every_execs = 0;
   uint64_t checkpoint_every_secs = 0;
   // Distinguishes otherwise identically-configured runs of different
   // systems: mixed into the checkpoint config fingerprint so e.g. a
   // wal-recovery checkpoint cannot resume a repl-2writers sweep.
   std::string run_id;
-  // ParallelExplorer: a worker whose heartbeat counter has not moved for
-  // this long while it owns a work item is considered stuck — the
-  // coordinator's watchdog writes a recovery checkpoint of everything else
-  // and requests cancellation. 0 = no watchdog.
+  // A worker whose heartbeat counter has not moved for this long while it
+  // owns a work item is considered stuck — a watchdog thread writes a
+  // recovery checkpoint of everything else and requests cancellation.
+  // 0 = no watchdog (and no extra thread).
   uint64_t stuck_worker_timeout_ms = 0;
 };
 
 // Violation, Report, RunOutcome, CancelToken, and the detail:: POR
 // bookkeeping types moved to run_state.h (shared with the durable-run
-// layer); SubtreeWork and SubtreeCursor live there too.
+// layer).
 
 namespace detail {
 
@@ -349,66 +361,6 @@ class DfsDriver : public Driver {
   std::vector<size_t> counts_;
 };
 
-class RandomDriver : public Driver {
- public:
-  RandomDriver(uint64_t seed, double crash_p, double env_p)
-      : rng_(seed), crash_p_(crash_p), env_p_(env_p) {}
-
-  size_t Choose(const std::vector<Alt>& alts) override {
-    std::vector<size_t> threads;
-    std::vector<size_t> crashes;
-    std::vector<size_t> envs;
-    for (size_t i = 0; i < alts.size(); ++i) {
-      switch (alts[i].kind) {
-        case AltKind::kThread:
-          threads.push_back(i);
-          break;
-        case AltKind::kCrash:
-          crashes.push_back(i);
-          break;
-        case AltKind::kEnv:
-          envs.push_back(i);
-          break;
-        case AltKind::kProceed:
-          break;  // chosen only when nothing else is picked
-      }
-    }
-    if (!crashes.empty() && rng_.Chance(crash_p_)) {
-      // Uniform among crash alternatives (a single draw when there is only
-      // one, so the stream stays comparable with older seeds).
-      return crashes.size() == 1 ? crashes[0] : crashes[rng_.Below(crashes.size())];
-    }
-    if (!envs.empty() && rng_.Chance(env_p_)) {
-      // Uniform among env alternatives, with the same single-candidate
-      // guard as crashes: one candidate costs one draw, so the stream (and
-      // therefore seed reproducibility) is unchanged by merely *offering*
-      // an env event that is the only one of its kind.
-      return envs.size() == 1 ? envs[0] : envs[rng_.Below(envs.size())];
-    }
-    if (!threads.empty()) {
-      return threads[rng_.Below(threads.size())];
-    }
-    // No thread alternatives — the quiescent point offering
-    // [proceed, CRASH, env...]. The declined draws above already said "no
-    // crash, no env" for this step, so take the proceed alternative. (The
-    // old fallback drew uniformly over the remainder, which made the
-    // quiescent crash a coin flip even with crash_probability = 0 — a
-    // crash-choice bias that skewed every random-mode sample toward
-    // crashing exactly at the quiescent point.)
-    for (size_t i = 0; i < alts.size(); ++i) {
-      if (alts[i].kind == AltKind::kProceed) {
-        return i;
-      }
-    }
-    return alts.size() == 1 ? 0 : rng_.Below(alts.size());
-  }
-
- private:
-  Rng rng_;
-  double crash_p_;
-  double env_p_;
-};
-
 // The seed of PCT run `run` of batch `batch`: a pure function of the
 // top-level seed and the two indices, so ANY partition of the run space —
 // serial loop, parallel slices, resume legs — reproduces the identical
@@ -427,10 +379,11 @@ inline uint64_t PctRunSeed(uint64_t seed, uint64_t batch, uint64_t run) {
 // priority-change points drawn uniformly over the step budget k demote the
 // running thread to d-1-j (below every initial priority). A depth-d bug is
 // hit with probability >= 1/(n * k^(d-1)). Crash and environment
-// alternatives are sampled with the same per-step probability draws (and
-// the same single-candidate guards) as RandomDriver, layered on top of the
-// PCT thread schedule. Fully deterministic in the seed: priorities are
-// assigned in alternative order and ties break toward the first maximum.
+// alternatives are sampled by per-step Bernoulli draws layered on top of
+// the PCT thread schedule; a lone crash or env candidate costs that one
+// draw and no uniform pick, so merely offering it does not shift the seed
+// stream. Fully deterministic in the seed: priorities are assigned in
+// alternative order and ties break toward the first maximum.
 class PctDriver : public Driver {
  public:
   PctDriver(uint64_t seed, int depth, uint64_t change_budget, double crash_p, double env_p)
@@ -472,6 +425,8 @@ class PctDriver : public Driver {
       return envs.size() == 1 ? envs[0] : envs[rng_.Below(envs.size())];
     }
     if (threads.empty()) {
+      // The quiescent point offering [proceed, CRASH, env...]: the declined
+      // draws above already said "no crash, no env" for this step.
       for (size_t i = 0; i < alts.size(); ++i) {
         if (alts[i].kind == AltKind::kProceed) {
           return i;
@@ -631,6 +586,9 @@ inline uint64_t ExplorationConfigFp(const ExplorerOptions& options) {
 }
 
 template <typename Spec>
+class ItemScheduler;
+
+template <typename Spec>
 class Explorer {
  public:
   using Op = typename Spec::Op;
@@ -646,22 +604,20 @@ class Explorer {
   void set_verdict_cache(VerdictCache* cache) { verdict_cache_ = cache; }
   void set_frontier_cache(FrontierCache* cache) { frontier_cache_ = cache; }
 
+  // The one-worker case of the item scheduler, on the calling thread: the
+  // whole tree as a single item (or the PCT slice list), or the work list
+  // of a resumed checkpoint written by either engine. Durability stops are
+  // decision-granular: this engine polls the user's token, the deadline,
+  // the memory budget and cancel_after_decisions at every decision point.
   Report Run() {
     EnsureDurabilityInit();
-    Report report;
-    switch (options_.mode) {
-      case ExplorerOptions::Mode::kRandom:
-        report = RunRandomMode();
-        break;
-      case ExplorerOptions::Mode::kPct:
-        report = RunPctMode();
-        break;
-      case ExplorerOptions::Mode::kExhaustive:
-        report = RunExhaustiveMode();
-        break;
+    ItemScheduler<Spec> scheduler(options_, verdict_cache_);
+    if (!scheduler.resumed()) {
+      scheduler.items() = options_.mode == ExplorerOptions::Mode::kPct
+                              ? BuildPctItems()
+                              : std::vector<CheckpointSubtree>(1);
     }
-    report.outcome = stop_cause_;
-    return report;
+    return scheduler.Run(1, [&](int w) { scheduler.Work(w, *this); });
   }
 
   // Re-executes one run driving decisions from a recorded schedule
@@ -708,61 +664,36 @@ class Explorer {
     return items;
   }
 
-  // Runs PCT executions [start, hi) of batch `batch` into `report` — the
-  // PCT analogue of RunDfsSubtree, shared by the serial mode loop and
-  // ParallelExplorer workers. Each run is seeded by PctRunSeed(seed, batch,
-  // run) alone. Returns true when the slice completed (max_violations ends
-  // it the same way an uninterrupted slice would); false on a durability
-  // stop or keep_going veto, with *next_run naming the first run not
-  // completed — the resume cursor.
-  bool RunPctSlice(uint64_t batch, uint64_t start, uint64_t hi, Report* report,
-                   const std::function<bool(const Report&)>& keep_going = nullptr,
-                   uint64_t* next_run = nullptr) {
+  // Runs one work item in place until it finishes, `boundary` returns
+  // false, or a durability stop ends it — the only code that knows the item
+  // encoding. A DFS item's next_path is the decision path of its next
+  // execution (the prefix while pending), bounded below by its floor; a PCT
+  // item's prefix is {batch, lo, hi} and next_path {next run}. The run
+  // accumulates ONTO item->partial, so per-item caps (max_violations,
+  // max_executions) fire where an uninterrupted run's would — resume-
+  // exactness. `boundary` is called after every completed execution, with
+  // *item already naming the next execution (or kDone), so a snapshot taken
+  // there resumes exactly.
+  void RunItem(CheckpointSubtree* item, const std::function<bool()>& boundary) {
     EnsureDurabilityInit();
-    const int depth = PctBatchDepth(batch);
-    for (uint64_t r = start; r < hi; ++r) {
-      if (StopAtBoundary()) {
-        report->truncated = true;
-        if (next_run != nullptr) {
-          *next_run = r;
-        }
-        return false;
-      }
-      detail::PctDriver driver(detail::PctRunSeed(options_.seed, batch, r), depth,
-                               options_.pct_change_budget, options_.crash_probability,
-                               options_.env_probability);
-      if (!RunOnce(driver, report, nullptr, /*common_decisions=*/0)) {
-        report->truncated = true;
-        if (next_run != nullptr) {
-          *next_run = r;
-        }
-        return false;
-      }
-      ++execs_completed_;
-      NotifyProgress(*report);
-      if (report->violations.size() >= static_cast<size_t>(options_.max_violations)) {
-        if (next_run != nullptr) {
-          *next_run = r + 1;
-        }
-        return true;
-      }
-      if (keep_going != nullptr && !keep_going(*report)) {
-        report->truncated = true;
-        if (next_run != nullptr) {
-          *next_run = r + 1;
-        }
-        return false;
-      }
-      MaybePeriodicCheckpoint({static_cast<size_t>(r + 1)}, {}, *report);
+    if (item->state == CheckpointSubtree::State::kDone) {
+      return;
     }
-    if (next_run != nullptr) {
-      *next_run = hi;
+    const bool pct = options_.mode == ExplorerOptions::Mode::kPct;
+    PCC_ENSURE(!pct || item->prefix.size() == 3, "PCT work item: malformed slice");
+    if (item->state == CheckpointSubtree::State::kPending) {
+      item->state = CheckpointSubtree::State::kInProgress;
+      item->next_path = pct ? std::vector<size_t>{item->prefix[1]} : item->prefix;
     }
-    return true;
+    if (pct) {
+      RunPctSlice(item->prefix[0], item->prefix[2], item, boundary);
+    } else {
+      RunDfsSubtree(item, boundary);
+    }
   }
 
   // The durability stop cause so far (kComplete while none). Sticky: once a
-  // stop triggers, every later RunDfsSubtree call on this engine drains
+  // stop triggers, every later RunItem call on this engine drains
   // immediately — which is exactly what ParallelExplorer's cancel drain
   // relies on.
   RunOutcome stop_cause() const { return stop_cause_; }
@@ -773,39 +704,95 @@ class Explorer {
     return checker_.approx_retained_bytes() + verdict_cache_->bytes() + frontier_cache_->bytes();
   }
 
-  // Exhaustive DFS over decision sequences, replaying from scratch,
-  // restricted to paths that extend `work.prefix` (empty prefix = whole
-  // tree). The per-worker engine of ParallelExplorer: work items come from
-  // EnumerateSubtreePrefixes, so distinct items explore disjoint subtrees.
-  // `keep_going`, if set, is polled after every execution; returning false
-  // abandons the subtree and marks the report truncated.
-  //
-  // `cursor`, if set, receives where the walk stopped: finished (the
-  // subtree is fully explored, or max_violations ended the run the same
-  // way an uninterrupted one would) or the exact decision path + POR
-  // bookkeeping of the next execution. Resuming with that cursor as a new
-  // work item (prefix = next_path, por_seed = por_levels, floor = floor)
-  // continues the walk as if it had never stopped.
-  void RunDfsSubtree(SubtreeWork work, Report* report,
-                     const std::function<bool(const Report&)>& keep_going = nullptr,
-                     SubtreeCursor* cursor = nullptr) {
+  // Coordinator side of the parallel split: enumerates every reachable
+  // decision-path prefix of length min(split_depth, run length) in DFS
+  // order, as pending work items carrying the POR bookkeeping a worker
+  // needs to reconstruct the serial sleep sets. The returned prefixes
+  // partition the execution space — each decision path extends exactly one
+  // of them — so per-item reports can be merged into the serial result.
+  // Each probe run is structure discovery only (its stats are discarded;
+  // the worker that owns the subtree re-runs it for real). Sets *truncated
+  // if max_executions probes did not suffice to finish the enumeration.
+  std::vector<CheckpointSubtree> EnumerateSubtreePrefixes(int split_depth, bool* truncated) {
+    PCC_ENSURE(split_depth >= 0, "split_depth must be non-negative");
+    std::vector<CheckpointSubtree> items;
+    Report scratch;
+    std::vector<size_t> path;
+    std::vector<detail::PorLevel> levels;
+    std::vector<detail::PorLevel>* por = PorActive() ? &levels : nullptr;
     EnsureDurabilityInit();
-    const size_t floor = work.floor == SubtreeWork::kNoFloor ? work.prefix.size() : work.floor;
-    std::vector<size_t> path = std::move(work.prefix);
-    detail::PorContext por;
-    por.levels = std::move(work.por_seed);
-    detail::PorContext* por_ptr = PorActive() ? &por : nullptr;
-    auto capture = [&](bool finished) {
-      if (cursor == nullptr) {
-        return;
+    while (true) {
+      detail::DfsDriver driver(&path);
+      // Probe runs never claim a shared prefix: structure discovery only.
+      // A durability stop during enumeration abandons it; the caller
+      // checks stop_cause() and falls back to a single whole-tree item.
+      if (StopAtBoundary() || !RunOnce(driver, &scratch, por, /*common_decisions=*/0)) {
+        break;
       }
-      cursor->finished = finished;
-      cursor->floor = floor;
-      if (!finished) {
-        cursor->next_path = path;
-        cursor->por_levels = por.levels;
+      const std::vector<size_t>& counts = driver.counts();
+      PCC_ENSURE(path.size() >= counts.size(), "DFS: path shorter than counts");
+      path.resize(counts.size());
+      const size_t plen = std::min(static_cast<size_t>(split_depth), path.size());
+      CheckpointSubtree item;
+      item.prefix.assign(path.begin(), path.begin() + plen);
+      item.floor = plen;
+      if (por != nullptr) {
+        // Ship, per prefix level, the alternatives explored before the one
+        // the prefix takes — the sleep-set candidates a worker cannot
+        // recompute (they belong to sibling subtrees).
+        item.por_levels.resize(plen);
+        for (size_t l = 0; l < plen; ++l) {
+          const std::vector<detail::TriedAlt>& tried = levels[l].tried;
+          const size_t keep = std::min(item.prefix[l], tried.size());
+          item.por_levels[l].tried.assign(tried.begin(), tried.begin() + keep);
+        }
       }
-    };
+      items.push_back(std::move(item));
+      if (scratch.executions >= options_.max_executions) {
+        *truncated = true;
+        break;
+      }
+      // Advance the odometer over the first split_depth levels only: one
+      // work item per distinct reachable prefix.
+      path.resize(plen);
+      if (!AdvanceOdometer(&path, counts, 0)) {
+        break;
+      }
+      if (por != nullptr && levels.size() > path.size()) {
+        levels.resize(path.size());
+      }
+    }
+    return items;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+
+  // Advances the deepest decision above `floor` that still has untried
+  // alternatives and drops everything below it; false when none is left.
+  static bool AdvanceOdometer(std::vector<size_t>* path, const std::vector<size_t>& counts,
+                              size_t floor) {
+    while (path->size() > floor) {
+      if (path->back() + 1 < counts[path->size() - 1]) {
+        ++path->back();
+        return true;
+      }
+      path->pop_back();
+    }
+    return false;
+  }
+
+  // Exhaustive DFS over decision sequences, replaying from scratch,
+  // restricted to paths that extend the item's first `floor` decisions
+  // (positions inside the assigned prefix are never advanced — they belong
+  // to other subtrees). item->next_path and item->por_levels are the live
+  // odometer state, so on return — or at a boundary — they name the next
+  // execution exactly; resuming from them continues the walk as if it had
+  // never stopped.
+  void RunDfsSubtree(CheckpointSubtree* item, const std::function<bool()>& boundary) {
+    std::vector<size_t>& path = item->next_path;
+    std::vector<detail::PorLevel>* por = PorActive() ? &item->por_levels : nullptr;
+    Report* report = &item->partial;
     // Decisions this run provably shares with the previous run of THIS
     // explorer: after the odometer bumps the decision at level a, levels
     // 0..a-1 replay identically, so the histories agree on every event the
@@ -820,155 +807,106 @@ class Explorer {
       // cursor names the execution that never started.
       if (StopAtBoundary()) {
         report->truncated = true;
-        capture(false);
         return;
       }
       detail::DfsDriver driver(&path);
-      if (!RunOnce(driver, report, por_ptr, common_decisions)) {
+      if (!RunOnce(driver, report, por, common_decisions)) {
         // Durability stop mid-execution: RunOnce rolled its counters back,
         // and `path` still holds the aborted execution's decisions (the
         // prefix it replayed plus what it chose before the stop) — replay
         // is deterministic, so resuming from this exact path re-runs the
         // execution as if it had never been attempted.
         report->truncated = true;
-        capture(false);
         return;
       }
       ++execs_completed_;
-      NotifyProgress(*report);
-      // max_violations ends the run exactly like an uninterrupted one
-      // (finished, nothing to resume). Checked before keep_going fires, as
-      // the legacy loop did — the parallel global-execution counter never
-      // observes a subtree's stopping execution.
-      if (report->violations.size() >= static_cast<size_t>(options_.max_violations)) {
-        capture(true);
+      // max_violations ends the item exactly like an uninterrupted run
+      // (finished, nothing to resume).
+      const bool capped =
+          report->violations.size() >= static_cast<size_t>(options_.max_violations);
+      // Odometer: a run that aborted early (violation, POR prune) consumed
+      // fewer decisions than the stale path holds, so first trim the path
+      // to what was actually replayed.
+      bool advanced = false;
+      if (!capped) {
+        const std::vector<size_t>& counts = driver.counts();
+        PCC_ENSURE(path.size() >= counts.size(), "DFS: path shorter than counts");
+        path.resize(counts.size());
+        advanced = AdvanceOdometer(&path, counts, item->floor);
+        // POR bookkeeping below the advanced position is stale (it
+        // described subtrees of the previous sibling); the level being
+        // advanced keeps its explored-sibling list, which is exactly what
+        // the new sibling's sleep sets need.
+        if (por != nullptr && por->size() > path.size()) {
+          por->resize(path.size());
+        }
+      }
+      if (!advanced) {
+        MarkDone(item);
+      }
+      const bool keep = boundary();
+      if (capped) {
         return;
       }
-      const bool hit_max_executions = report->executions >= options_.max_executions;
-      // The global-budget callback observes every other completed execution
-      // (ParallelExplorer aggregates progress through it); it runs before
-      // the odometer advances, but its verdict applies after, so the
-      // cursor a stop captures names the NEXT execution.
-      const bool keep =
-          hit_max_executions || keep_going == nullptr || keep_going(*report);
-      // Odometer: advance the deepest decision that still has untried
-      // alternatives; drop everything below it. A run that aborted early
-      // (violation, POR prune) consumed fewer decisions than the stale path
-      // holds, so first trim the path to what was actually replayed.
-      // Positions inside the assigned prefix are never advanced — they
-      // belong to other subtrees.
-      const std::vector<size_t>& counts = driver.counts();
-      PCC_ENSURE(path.size() >= counts.size(), "DFS: path shorter than counts");
-      path.resize(counts.size());
-      bool advanced = false;
-      while (path.size() > floor) {
-        if (path.back() + 1 < counts[path.size() - 1]) {
-          ++path.back();
-          advanced = true;
-          break;
-        }
-        path.pop_back();
-      }
-      // POR bookkeeping below the advanced position is stale (it described
-      // subtrees of the previous sibling); the level being advanced keeps
-      // its explored-sibling list, which is exactly what the new sibling's
-      // sleep sets need.
-      if (por_ptr != nullptr && por.levels.size() > path.size()) {
-        por.levels.resize(path.size());
-      }
-      // Budget stops (legacy priority order): resumable whenever the
-      // subtree still has work (`advanced`).
-      if (hit_max_executions) {
+      // Budget stops: resumable whenever the subtree still has work.
+      if (report->executions >= options_.max_executions || !keep) {
         report->truncated = true;
-        capture(!advanced);
+        return;
+      }
+      if (!advanced) {
+        return;  // full bounded subtree explored
+      }
+      common_decisions = path.size() - 1;  // everything before the bumped level
+    }
+  }
+
+  // Runs PCT executions [next run, hi) of batch `batch` — the PCT analogue
+  // of RunDfsSubtree, with item->next_path = {next run} as the live cursor.
+  // Each run is seeded by PctRunSeed(seed, batch, run) alone. A slice that
+  // hit max_violations counts as finished — later slices still run and the
+  // aggregate is trimmed, which keeps the report a pure function of the
+  // item list.
+  void RunPctSlice(uint64_t batch, uint64_t hi, CheckpointSubtree* item,
+                   const std::function<bool()>& boundary) {
+    const int depth = PctBatchDepth(batch);
+    Report* report = &item->partial;
+    uint64_t run = item->next_path[0];
+    while (run < hi) {
+      if (StopAtBoundary()) {
+        report->truncated = true;
+        return;
+      }
+      detail::PctDriver driver(detail::PctRunSeed(options_.seed, batch, run), depth,
+                               options_.pct_change_budget, options_.crash_probability,
+                               options_.env_probability);
+      if (!RunOnce(driver, report, nullptr, /*common_decisions=*/0)) {
+        report->truncated = true;
+        return;
+      }
+      ++execs_completed_;
+      item->next_path[0] = static_cast<size_t>(++run);
+      const bool capped =
+          report->violations.size() >= static_cast<size_t>(options_.max_violations);
+      if (capped || run >= hi) {
+        MarkDone(item);
+      }
+      const bool keep = boundary();
+      if (capped) {
         return;
       }
       if (!keep) {
         report->truncated = true;
-        capture(!advanced);
         return;
       }
-      if (!advanced) {
-        capture(true);
-        return;  // full bounded subtree explored
-      }
-      common_decisions = path.size() - 1;  // everything before the bumped level
-      MaybePeriodicCheckpoint(path, por.levels, *report);
     }
+    MarkDone(item);
   }
 
-  // Coordinator side of the parallel split: enumerates every reachable
-  // decision-path prefix of length min(split_depth, run length) in DFS
-  // order, together with the POR bookkeeping a worker needs to reconstruct
-  // the serial sleep sets (see SubtreeWork). The returned prefixes
-  // partition the execution space — each decision path extends exactly one
-  // of them — so per-item RunDfsSubtree reports can be merged into the
-  // serial result. Each probe run is structure discovery only (its stats
-  // are discarded; the worker that owns the subtree re-runs it for real).
-  // Sets *truncated if max_executions probes did not suffice to finish the
-  // enumeration.
-  std::vector<SubtreeWork> EnumerateSubtreePrefixes(int split_depth, bool* truncated) {
-    PCC_ENSURE(split_depth >= 0, "split_depth must be non-negative");
-    std::vector<SubtreeWork> items;
-    Report scratch;
-    std::vector<size_t> path;
-    detail::PorContext por;
-    detail::PorContext* por_ptr = PorActive() ? &por : nullptr;
-    EnsureDurabilityInit();
-    while (true) {
-      detail::DfsDriver driver(&path);
-      // Probe runs never claim a shared prefix: structure discovery only.
-      // A durability stop during enumeration abandons it; the caller
-      // checks stop_cause() and falls back to a single whole-tree item.
-      if (StopAtBoundary() || !RunOnce(driver, &scratch, por_ptr, /*common_decisions=*/0)) {
-        break;
-      }
-      const std::vector<size_t>& counts = driver.counts();
-      PCC_ENSURE(path.size() >= counts.size(), "DFS: path shorter than counts");
-      path.resize(counts.size());
-      const size_t plen = std::min(static_cast<size_t>(split_depth), path.size());
-      SubtreeWork item;
-      item.prefix.assign(path.begin(), path.begin() + plen);
-      if (por_ptr != nullptr) {
-        // Ship, per prefix level, the alternatives explored before the one
-        // the prefix takes — the sleep-set candidates a worker cannot
-        // recompute (they belong to sibling subtrees).
-        item.por_seed.resize(plen);
-        for (size_t l = 0; l < plen; ++l) {
-          const std::vector<detail::TriedAlt>& tried = por.levels[l].tried;
-          const size_t keep = std::min(item.prefix[l], tried.size());
-          item.por_seed[l].tried.assign(tried.begin(), tried.begin() + keep);
-        }
-      }
-      items.push_back(std::move(item));
-      if (scratch.executions >= options_.max_executions) {
-        *truncated = true;
-        break;
-      }
-      // Advance the odometer over the first split_depth levels only: one
-      // work item per distinct reachable prefix.
-      path.resize(plen);
-      bool advanced = false;
-      while (!path.empty()) {
-        if (path.back() + 1 < counts[path.size() - 1]) {
-          ++path.back();
-          advanced = true;
-          break;
-        }
-        path.pop_back();
-      }
-      if (!advanced) {
-        break;
-      }
-      if (por_ptr != nullptr && por.levels.size() > path.size()) {
-        por.levels.resize(path.size());
-      }
-    }
-    return items;
+  static void MarkDone(CheckpointSubtree* item) {
+    item->state = CheckpointSubtree::State::kDone;
+    item->next_path.clear();
+    item->por_levels.clear();
   }
-
- private:
-  using Clock = std::chrono::steady_clock;
 
   // The PCT depth batch `batch` runs at: pct_depth, or — under
   // swarm_vary_depth — cycling {d-1, d, d+1} (floored at 2) so one swarm
@@ -982,10 +920,10 @@ class Explorer {
     return d < 2 ? 2 : d;
   }
 
-  // POR is sound only when sibling subtrees are explored in full: random
-  // mode replays nothing, and preemption bounding (itself an unsound
-  // reduction) can exclude exactly the sibling order a sleep set relies
-  // on. Both therefore run unreduced.
+  // POR is sound only when sibling subtrees are explored in full: PCT
+  // replays nothing, and preemption bounding (itself an unsound reduction)
+  // can exclude exactly the sibling order a sleep set relies on. Both
+  // therefore run unreduced.
   bool PorActive() const {
     return options_.use_por && options_.mode == ExplorerOptions::Mode::kExhaustive &&
            options_.max_preemptions < 0;
@@ -994,8 +932,8 @@ class Explorer {
   // ---- Durable-run machinery ----
 
   // Lazily arms the durability checks: Run() is not the only entry point
-  // (ParallelExplorer workers call RunDfsSubtree directly), and the
-  // deadline is measured from whichever entry came first. When nothing
+  // (ParallelExplorer workers call RunItem directly), and the deadline is
+  // measured from whichever entry came first. When nothing
   // durability-related is configured, durability_active_ stays false and
   // the per-decision poll is a single branch on a plain bool.
   void EnsureDurabilityInit() {
@@ -1070,233 +1008,6 @@ class Explorer {
     return CheckDeadlineAndMemory();
   }
 
-  Report RunRandomMode() {
-    Report report;
-    detail::RandomDriver driver(options_.seed, options_.crash_probability,
-                                options_.env_probability);
-    for (uint64_t i = 0; i < options_.random_runs; ++i) {
-      if (StopAtBoundary() || !RunOnce(driver, &report, nullptr, /*common_decisions=*/0)) {
-        // Random runs are not resumable (the RNG stream has no durable
-        // cursor); a durability stop just ends the sampling early with the
-        // outcome tagged.
-        report.truncated = true;
-        break;
-      }
-      ++execs_completed_;
-      NotifyProgress(report);
-      if (report.violations.size() >= static_cast<size_t>(options_.max_violations)) {
-        break;
-      }
-    }
-    return report;
-  }
-
-  // Serial PCT/swarm driver: the same item loop as RunExhaustiveMode but
-  // over BuildPctItems slices, with run-granular resume (next_path holds
-  // the single cursor value: the next run index of the in-progress slice).
-  // A slice that hit max_violations counts as finished — like the
-  // exhaustive engine, later slices still run and the aggregate is trimmed,
-  // which keeps the report a pure function of the item list.
-  Report RunPctMode() {
-    std::vector<CheckpointSubtree> items;
-    bool resumed = TryResume(&items);
-    if (!resumed) {
-      items = BuildPctItems();
-    }
-    for (size_t i = 0; i < items.size(); ++i) {
-      CheckpointSubtree& item = items[i];
-      if (item.state == CheckpointSubtree::State::kDone) {
-        continue;
-      }
-      PCC_ENSURE(item.prefix.size() == 3, "PCT checkpoint item: malformed slice");
-      const uint64_t batch = item.prefix[0];
-      const uint64_t hi = item.prefix[2];
-      uint64_t start = item.prefix[1];
-      if (item.state == CheckpointSubtree::State::kInProgress && !item.next_path.empty()) {
-        start = item.next_path[0];
-      }
-      last_checkpoint_execs_ = 0;  // cadence is per-slice (partial resets)
-      periodic_hook_ = [this, &items, i](const std::vector<size_t>& next_path,
-                                         const std::vector<detail::PorLevel>&) {
-        CheckpointSubtree& cur = items[i];
-        cur.state = CheckpointSubtree::State::kInProgress;
-        cur.next_path = next_path;
-        WriteCheckpoint(items, /*parallel=*/false);
-      };
-      uint64_t next_run = start;
-      const bool finished = RunPctSlice(batch, start, hi, &item.partial,
-                                        /*keep_going=*/nullptr, &next_run);
-      periodic_hook_ = nullptr;
-      if (finished) {
-        item.state = CheckpointSubtree::State::kDone;
-        item.next_path.clear();
-      } else {
-        item.state = CheckpointSubtree::State::kInProgress;
-        item.next_path = {static_cast<size_t>(next_run)};
-      }
-      if (stop_cause_ != RunOutcome::kComplete) {
-        break;  // drain: later slices stay pending in the checkpoint
-      }
-    }
-    if (!options_.checkpoint_path.empty()) {
-      WriteCheckpoint(items, /*parallel=*/false);
-    }
-    Report aggregate;
-    aggregate.resumed = resumed;
-    for (const CheckpointSubtree& item : items) {
-      MergeReport(&aggregate, item.partial);
-    }
-    TrimReportViolations(&aggregate, options_.max_violations);
-    return aggregate;
-  }
-
-  Report RunExhaustiveMode() {
-    std::vector<CheckpointSubtree> items;
-    bool resumed = TryResume(&items);
-    if (!resumed) {
-      items.emplace_back();  // one pending whole-tree item, floor 0
-    }
-    for (size_t i = 0; i < items.size(); ++i) {
-      CheckpointSubtree& item = items[i];
-      if (item.state == CheckpointSubtree::State::kDone) {
-        continue;
-      }
-      SubtreeWork work;
-      if (item.state == CheckpointSubtree::State::kInProgress) {
-        work.prefix = item.next_path;
-        work.por_seed = item.por_levels;
-        work.floor = item.floor;
-      } else {
-        work.prefix = item.prefix;
-        work.por_seed = item.por_levels;
-        work.floor = item.floor;
-      }
-      // Arm the periodic-checkpoint hook with this item's context: a
-      // snapshot marks items before i done, i in-progress at the hook's
-      // cursor, and the rest pending.
-      periodic_hook_ = [this, &items, i](const std::vector<size_t>& next_path,
-                                         const std::vector<detail::PorLevel>& por_levels) {
-        CheckpointSubtree& cur = items[i];
-        cur.state = CheckpointSubtree::State::kInProgress;
-        cur.next_path = next_path;
-        cur.por_levels = por_levels;
-        WriteCheckpoint(items, /*parallel=*/false);
-      };
-      SubtreeCursor cursor;
-      RunDfsSubtree(std::move(work), &item.partial, /*keep_going=*/nullptr, &cursor);
-      periodic_hook_ = nullptr;
-      if (cursor.finished) {
-        item.state = CheckpointSubtree::State::kDone;
-        item.next_path.clear();
-        item.por_levels.clear();
-      } else {
-        item.state = CheckpointSubtree::State::kInProgress;
-        item.next_path = std::move(cursor.next_path);
-        item.por_levels = std::move(cursor.por_levels);
-        item.floor = cursor.floor;
-      }
-      if (stop_cause_ != RunOutcome::kComplete) {
-        break;  // drain: later items stay pending in the checkpoint
-      }
-    }
-    if (!options_.checkpoint_path.empty()) {
-      // Written on completion too: resuming a finished checkpoint returns
-      // the full report without re-running anything.
-      WriteCheckpoint(items, /*parallel=*/false);
-    }
-    Report aggregate;
-    aggregate.resumed = resumed;
-    for (const CheckpointSubtree& item : items) {
-      MergeReport(&aggregate, item.partial);
-    }
-    TrimReportViolations(&aggregate, options_.max_violations);
-    return aggregate;
-  }
-
-  // Loads options_.resume_path if set and valid; restores the work items
-  // and the verdict cache. Any rejection (torn, corrupt, version bump,
-  // config mismatch) warns on stderr and returns false — the caller
-  // starts from scratch, which is always sound.
-  bool TryResume(std::vector<CheckpointSubtree>* items) {
-    if (options_.resume_path.empty()) {
-      return false;
-    }
-    CheckpointData data;
-    Status st = LoadCheckpoint(options_.resume_path, ExplorationConfigFp(options_), &data);
-    if (!st.ok()) {
-      std::fprintf(stderr, "[explorer] resume rejected, starting fresh: %s\n",
-                   st.ToString().c_str());
-      return false;
-    }
-    *items = std::move(data.subtrees);
-    for (CheckpointSubtree& item : *items) {
-      // The interruption is healed by resuming: the final report's
-      // truncated/outcome reflect THIS run, not the interrupted one.
-      item.partial.truncated = false;
-      item.partial.outcome = RunOutcome::kComplete;
-    }
-    for (const auto& [fp, verdict] : data.verdicts) {
-      verdict_cache_->Insert(fp, verdict, VerdictEntryBytes(verdict));
-    }
-    return true;
-  }
-
-  void WriteCheckpoint(const std::vector<CheckpointSubtree>& items, bool parallel) {
-    if (options_.checkpoint_path.empty()) {
-      return;
-    }
-    CheckpointData data;
-    data.config_fp = ExplorationConfigFp(options_);
-    data.parallel = parallel;
-    data.outcome = stop_cause_;
-    data.subtrees = items;
-    if (options_.dedup_histories) {
-      verdict_cache_->ForEach([&](const Hash128& fp, const std::optional<std::string>& verdict) {
-        data.verdicts.emplace_back(fp, verdict);
-      });
-    }
-    Status st = SaveCheckpoint(options_.checkpoint_path, data);
-    if (!st.ok()) {
-      std::fprintf(stderr, "[explorer] checkpoint write failed: %s\n", st.ToString().c_str());
-      return;
-    }
-    last_checkpoint_time_ = Clock::now();
-  }
-
-  // Periodic-cadence gate, called once per completed execution from the
-  // DFS loop (serial runs only; parallel periodic checkpoints are the
-  // coordinator's job).
-  void MaybePeriodicCheckpoint(const std::vector<size_t>& next_path,
-                               const std::vector<detail::PorLevel>& por_levels,
-                               const Report& report) {
-    if (periodic_hook_ == nullptr || options_.checkpoint_path.empty()) {
-      return;
-    }
-    bool due = false;
-    if (options_.checkpoint_every_execs > 0 &&
-        report.executions >= last_checkpoint_execs_ + options_.checkpoint_every_execs) {
-      due = true;
-    }
-    if (!due && options_.checkpoint_every_secs > 0 &&
-        Clock::now() >= last_checkpoint_time_ +
-                            std::chrono::seconds(options_.checkpoint_every_secs)) {
-      due = true;
-    }
-    if (!due) {
-      return;
-    }
-    last_checkpoint_execs_ = report.executions;
-    periodic_hook_(next_path, por_levels);
-  }
-
-  void NotifyProgress(const Report& report) {
-    if (options_.progress_callback != nullptr && options_.progress_interval > 0 &&
-        report.executions % options_.progress_interval == 0) {
-      options_.progress_callback(ExplorerProgress{
-          report.executions, report.total_steps, static_cast<uint64_t>(report.violations.size()),
-          report.histories_checked, report.histories_deduped, report.por_pruned});
-    }
-  }
   proc::Task<void> ClientThread(int client, const std::vector<Op>* ops, Instance<Spec>* inst,
                                 History<Spec>* history) {
     for (const Op& op : *ops) {
@@ -1361,8 +1072,8 @@ class Explorer {
     *sleep = std::move(next);
   }
 
-  // `por` non-null activates sleep-set pruning for this run (exhaustive
-  // replays only; RandomDriver passes nullptr). `common_decisions` is the
+  // `por` (the per-level POR bookkeeping) non-null activates sleep-set
+  // pruning for this run (exhaustive replays only; PCT passes nullptr). `common_decisions` is the
   // caller's guarantee that this run's first decisions replay the previous
   // run's — the basis for resuming the linearizability search mid-history
   // (frontier-spine reuse) and for skipping footprint re-collection on
@@ -1373,7 +1084,7 @@ class Explorer {
   // back to its entry value, so an aborted execution is indistinguishable
   // from one that never started — the caller re-runs the same decision
   // path on resume and deterministic replay reproduces it exactly.
-  bool RunOnce(detail::Driver& driver, Report* report, detail::PorContext* por,
+  bool RunOnce(detail::Driver& driver, Report* report, std::vector<detail::PorLevel>* por,
                size_t common_decisions) {
     const uint64_t entry_executions = report->executions;
     const uint64_t entry_crashes = report->crashes_injected;
@@ -1468,7 +1179,7 @@ class Explorer {
       if (por == nullptr) {
         return nullptr;
       }
-      const detail::PorLevel& level = por->levels[decision_level];
+      const detail::PorLevel& level = (*por)[decision_level];
       if (pick >= level.tried.size()) {
         sched.EnableFootprintCollection(true);
         return nullptr;
@@ -1488,7 +1199,7 @@ class Explorer {
         ++decision_level;
         return;
       }
-      detail::PorLevel& level = por->levels[decision_level];
+      detail::PorLevel& level = (*por)[decision_level];
       if (pick == level.tried.size()) {
         level.tried.push_back(detail::TriedAlt{alts[pick].kind, alts[pick].thread, fp});
       }
@@ -1497,8 +1208,8 @@ class Explorer {
     };
     // Ensures a PorLevel exists for the current decision.
     auto ensure_level = [&] {
-      if (por != nullptr && decision_level == por->levels.size()) {
-        por->levels.emplace_back();
+      if (por != nullptr && decision_level == por->size()) {
+        por->emplace_back();
       }
     };
 
@@ -1759,12 +1470,328 @@ class Explorer {
   Clock::time_point deadline_{};
   uint64_t decisions_total_ = 0;  // across every execution of this engine
   uint64_t poll_gate_ = 0;        // amortizes clock/memory reads in StopRequested
-  uint64_t last_checkpoint_execs_ = 0;
-  Clock::time_point last_checkpoint_time_ = Clock::now();
-  // Set by RunExhaustiveMode around each item; invoked by the DFS loop at
-  // the periodic cadence with the would-be-next cursor position.
-  std::function<void(const std::vector<size_t>&, const std::vector<detail::PorLevel>&)>
-      periodic_hook_;
+};
+
+// The one work-item scheduler behind both engines' Run(): a claim -> run ->
+// commit loop over a vector of CheckpointSubtree items (DFS subtrees or
+// PCT slices; Explorer::RunItem is the only code that tells them apart).
+// Explorer::Run is its one-worker case on the calling thread,
+// ParallelExplorer::Run its N-worker case. The work list IS the checkpoint
+// payload: resuming loads it from the file (no re-enumeration; worker
+// count and split depth may differ across the interruption), checkpointing
+// snapshots it, and the final Report merges it in list order — DFS order
+// for subtrees, batch order for slices — so every worker count, and every
+// interrupt/resume split, reports the same deterministic counters.
+//
+// Stops: the first cause wins and is published once into an internal
+// token that ParallelExplorer's worker engines poll at decision
+// granularity; each worker rolls back its in-flight execution, commits its
+// item's exact resume cursor, and exits. The user's token and the wall
+// deadline are forwarded at execution boundaries.
+//
+// Periodic checkpoints happen at execution boundaries, on one global
+// execution counter: the worker that crosses the cadence writes the work
+// list with its own item at its exact cursor; items other workers hold
+// appear at their last committed position (re-running from there is
+// sound, merely redundant). A watchdog thread, started only when
+// stuck_worker_timeout_ms is set, watches for stuck workers: a worker
+// that owns an item but has not completed an execution for that long gets
+// flagged, a recovery checkpoint is flushed, and the run is canceled
+// rather than left hanging.
+template <typename Spec>
+class ItemScheduler {
+ public:
+  // Loads options.resume_path when set (see TryResume); `verdicts` is the
+  // cache the run's engines share, restored from and saved to checkpoints.
+  ItemScheduler(const ExplorerOptions& options, VerdictCache* verdicts)
+      : options_(options),
+        verdicts_(verdicts),
+        deadline_(Clock::now() + std::chrono::milliseconds(options.wall_deadline_ms)) {
+    resumed_ = TryResume();
+  }
+
+  bool resumed() const { return resumed_; }
+  // The work list; set it before Run() unless resumed().
+  std::vector<CheckpointSubtree>& items() { return items_; }
+  // The internal stop token worker engines should poll.
+  CancelToken* cancel_token() { return &cancel_; }
+
+  // First stop wins; later causes (typically the cascaded kCanceled the
+  // internal token induces in every other worker) keep the original tag.
+  void RequestStop(RunOutcome cause) {
+    RunOutcome expected = RunOutcome::kComplete;
+    cause_.compare_exchange_strong(expected, cause, std::memory_order_relaxed);
+    cancel_.RequestCancel();
+  }
+
+  // Runs work(w) for each of `workers` workers — a single worker on the
+  // calling thread, several each on a thread of their own — then writes the
+  // final checkpoint (on completion too, so a finished file resumes to the
+  // full report) and merges the items.
+  Report Run(int workers, const std::function<void(int)>& work) {
+    workers_ = std::vector<WorkerState>(static_cast<size_t>(workers));
+    {
+      // Both join on scope exit, exceptions included: the pool first, then
+      // the watchdog, whose destructor first requests its stop.
+      std::jthread watchdog;
+      if (options_.stuck_worker_timeout_ms > 0) {
+        watchdog = std::jthread([this](std::stop_token stop) { Watchdog(stop); });
+      }
+      std::vector<std::jthread> pool;
+      if (workers == 1) {
+        work(0);
+      } else {
+        for (int w = 0; w < workers; ++w) {
+          pool.emplace_back(work, w);
+        }
+      }
+    }
+    {
+      std::scoped_lock lock(ckpt_mu_);
+      WriteCheckpoint();
+    }
+    Report aggregate;
+    aggregate.resumed = resumed_;
+    for (const CheckpointSubtree& item : items_) {
+      MergeReport(&aggregate, item.partial);
+    }
+    TrimReportViolations(&aggregate, options_.max_violations);
+    aggregate.outcome = cause_.load(std::memory_order_relaxed);
+    return aggregate;
+  }
+
+  // Worker w's loop: claim the next item (lock-free cursor), run a private
+  // copy of it on `engine`, commit it back under state_mu_.
+  void Work(int w, Explorer<Spec>& engine) {
+    WorkerState& me = workers_[static_cast<size_t>(w)];
+    while (!StopRequested() && !budget_exhausted_.load(std::memory_order_relaxed)) {
+      const size_t i = next_item_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= items_.size()) {
+        break;
+      }
+      CheckpointSubtree item;
+      {
+        std::scoped_lock lock(state_mu_);
+        if (items_[i].state == CheckpointSubtree::State::kDone) {
+          continue;  // restored from a checkpoint fully explored
+        }
+        item = items_[i];
+      }
+      me.active.store(i + 1, std::memory_order_relaxed);
+      ExplorerProgress seen = Counts(item.partial);
+      engine.RunItem(&item, [&] { return AtBoundary(&me, i, item, &seen); });
+      {
+        std::scoped_lock lock(state_mu_);
+        items_[i] = std::move(item);
+      }
+      me.active.store(0, std::memory_order_relaxed);
+      if (engine.stop_cause() != RunOutcome::kComplete) {
+        // The engine detected a stop itself (deadline/memory mid-
+        // execution, or a token); it is sticky-stopped, so publish the
+        // cause and retire this worker.
+        RequestStop(engine.stop_cause());
+        break;
+      }
+    }
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+
+  // Per-worker liveness for the watchdog: the heartbeat ticks once per
+  // completed execution; `active` holds (item index + 1) while the worker
+  // owns an item.
+  struct WorkerState {
+    std::atomic<uint64_t> heartbeat{0};
+    std::atomic<size_t> active{0};
+  };
+
+  static ExplorerProgress Counts(const Report& r) {
+    return ExplorerProgress{r.executions,        r.total_steps,
+                            r.violations.size(), r.histories_checked,
+                            r.histories_deduped, r.por_pruned};
+  }
+
+  bool StopRequested() const {
+    return cause_.load(std::memory_order_relaxed) != RunOutcome::kComplete;
+  }
+
+  // Called by worker `me` after every execution of item `i` completes, with
+  // `item` (its private copy) already naming the next execution. Folds the
+  // item's growth since the last boundary (`seen`) into the run totals,
+  // then takes a due periodic checkpoint, fires the progress callback,
+  // forwards the user's token and the deadline, and applies the run-wide
+  // execution budget. Returns false to stop the item.
+  bool AtBoundary(WorkerState* me, size_t i, const CheckpointSubtree& item,
+                  ExplorerProgress* seen) {
+    me->heartbeat.fetch_add(1, std::memory_order_relaxed);
+    auto add = [](std::atomic<uint64_t>& total, uint64_t now, uint64_t* last) {
+      const uint64_t grown = now - *last;
+      *last = now;
+      return total.fetch_add(grown, std::memory_order_relaxed) + grown;
+    };
+    const Report& r = item.partial;
+    const ExplorerProgress totals{
+        add(executions_, r.executions, &seen->executions),
+        add(steps_, r.total_steps, &seen->total_steps),
+        add(violations_, r.violations.size(), &seen->violations),
+        add(checked_, r.histories_checked, &seen->histories_checked),
+        add(deduped_, r.histories_deduped, &seen->histories_deduped),
+        add(pruned_, r.por_pruned, &seen->por_pruned)};
+    if (!options_.checkpoint_path.empty() &&
+        (options_.checkpoint_every_execs > 0 || options_.checkpoint_every_secs > 0)) {
+      std::scoped_lock lock(ckpt_mu_);
+      const bool due =
+          (options_.checkpoint_every_execs > 0 &&
+           totals.executions >= last_ckpt_execs_ + options_.checkpoint_every_execs) ||
+          (options_.checkpoint_every_secs > 0 &&
+           Clock::now() >= last_ckpt_time_ + std::chrono::seconds(options_.checkpoint_every_secs));
+      if (due) {
+        WriteCheckpoint(i, &item);
+      }
+    }
+    if (options_.progress_callback != nullptr && options_.progress_interval > 0 &&
+        totals.executions % options_.progress_interval == 0) {
+      std::scoped_lock lock(progress_mu_);
+      options_.progress_callback(totals);
+    }
+    if (options_.cancel_token != nullptr && options_.cancel_token->canceled()) {
+      RequestStop(RunOutcome::kCanceled);
+    }
+    if (options_.wall_deadline_ms > 0 && Clock::now() >= deadline_) {
+      RequestStop(RunOutcome::kDeadline);
+    }
+    // The DFS safety cap, run-wide (each DFS item also applies it to its
+    // own report); PCT runs are bounded by random_runs alone.
+    if (options_.mode == ExplorerOptions::Mode::kExhaustive &&
+        totals.executions >= options_.max_executions) {
+      budget_exhausted_.store(true, std::memory_order_relaxed);
+      return false;
+    }
+    return !StopRequested();
+  }
+
+  // Loads options_.resume_path if set and valid: the work list and the
+  // verdict cache. Any rejection (torn, corrupt, version bump, config
+  // mismatch) warns on stderr and returns false — the caller starts from
+  // scratch, which is always sound.
+  bool TryResume() {
+    if (options_.resume_path.empty()) {
+      return false;
+    }
+    CheckpointData data;
+    Status st = LoadCheckpoint(options_.resume_path, ExplorationConfigFp(options_), &data);
+    if (!st.ok()) {
+      std::fprintf(stderr, "[explorer] resume rejected, starting fresh: %s\n",
+                   st.ToString().c_str());
+      return false;
+    }
+    items_ = std::move(data.subtrees);
+    for (CheckpointSubtree& item : items_) {
+      // The interruption is healed by resuming: the final report's
+      // truncated/outcome reflect THIS run, not the interrupted one.
+      item.partial.truncated = false;
+      item.partial.outcome = RunOutcome::kComplete;
+    }
+    for (const auto& [fp, verdict] : data.verdicts) {
+      verdicts_->Insert(fp, verdict, VerdictEntryBytes(verdict));
+    }
+    return true;
+  }
+
+  // Writes the work list as committed so far, with `live` — the calling
+  // worker's in-flight copy of item `i`, if any — at its exact cursor.
+  // Caller holds ckpt_mu_.
+  void WriteCheckpoint(size_t i = 0, const CheckpointSubtree* live = nullptr) {
+    if (options_.checkpoint_path.empty()) {
+      return;
+    }
+    CheckpointData data;
+    data.config_fp = ExplorationConfigFp(options_);
+    data.parallel = workers_.size() > 1;
+    data.outcome = cause_.load(std::memory_order_relaxed);
+    {
+      std::scoped_lock lock(state_mu_);
+      data.subtrees = items_;
+    }
+    if (live != nullptr) {
+      data.subtrees[i] = *live;
+    }
+    if (options_.dedup_histories) {
+      verdicts_->ForEach([&](const Hash128& fp, const std::optional<std::string>& verdict) {
+        data.verdicts.emplace_back(fp, verdict);
+      });
+    }
+    Status st = SaveCheckpoint(options_.checkpoint_path, data);
+    if (!st.ok()) {
+      std::fprintf(stderr, "[explorer] checkpoint write failed: %s\n", st.ToString().c_str());
+    }
+    last_ckpt_execs_ = executions_.load(std::memory_order_relaxed);
+    last_ckpt_time_ = Clock::now();
+  }
+
+  void Watchdog(const std::stop_token& stop) {
+    const uint64_t timeout_ms = options_.stuck_worker_timeout_ms;
+    const auto tick = std::chrono::milliseconds(std::min<uint64_t>(
+        1000, std::max<uint64_t>(timeout_ms / 4, 5)));
+    std::vector<uint64_t> last_hb(workers_.size(), 0);
+    std::vector<Clock::time_point> last_beat(workers_.size(), Clock::now());
+    std::vector<bool> flagged(workers_.size(), false);
+    std::mutex mu;
+    std::condition_variable_any wake;
+    std::unique_lock wait_lock(mu);
+    while (!wake.wait_for(wait_lock, stop, tick, [&] { return stop.stop_requested(); })) {
+      const Clock::time_point now = Clock::now();
+      for (size_t w = 0; w < workers_.size(); ++w) {
+        const uint64_t hb = workers_[w].heartbeat.load(std::memory_order_relaxed);
+        const size_t active = workers_[w].active.load(std::memory_order_relaxed);
+        if (active == 0 || hb != last_hb[w]) {
+          last_hb[w] = hb;
+          last_beat[w] = now;
+          flagged[w] = false;
+          continue;
+        }
+        if (!flagged[w] && now - last_beat[w] >= std::chrono::milliseconds(timeout_ms)) {
+          flagged[w] = true;
+          std::fprintf(stderr,
+                       "[explorer] worker %zu stuck on item %zu for %llu ms; "
+                       "flushing recovery checkpoint and canceling\n",
+                       w, active - 1, static_cast<unsigned long long>(timeout_ms));
+          {
+            std::scoped_lock lock(ckpt_mu_);
+            WriteCheckpoint();
+          }
+          RequestStop(RunOutcome::kCanceled);
+        }
+      }
+    }
+  }
+
+  const ExplorerOptions& options_;
+  VerdictCache* verdicts_;
+  const Clock::time_point deadline_;
+  bool resumed_ = false;
+  // Guards every CheckpointSubtree in items_ once workers run: workers
+  // commit under it, checkpoint snapshots copy under it. Claiming is the
+  // lock-free next_item_ cursor.
+  std::mutex state_mu_;
+  std::vector<CheckpointSubtree> items_;
+  std::atomic<size_t> next_item_{0};
+  std::vector<WorkerState> workers_;
+  std::atomic<RunOutcome> cause_{RunOutcome::kComplete};
+  CancelToken cancel_;
+  std::atomic<bool> budget_exhausted_{false};
+  // Run totals: each worker adds its item report's growth per execution.
+  std::atomic<uint64_t> executions_{0};
+  std::atomic<uint64_t> steps_{0};
+  std::atomic<uint64_t> violations_{0};
+  std::atomic<uint64_t> checked_{0};
+  std::atomic<uint64_t> deduped_{0};
+  std::atomic<uint64_t> pruned_{0};
+  std::mutex progress_mu_;  // one progress_callback caller at a time
+  std::mutex ckpt_mu_;      // one checkpoint writer at a time; guards last_ckpt_*
+  uint64_t last_ckpt_execs_ = 0;
+  Clock::time_point last_ckpt_time_ = Clock::now();
 };
 
 }  // namespace perennial::refine

@@ -3,8 +3,7 @@
 // Everything in this header is a pure value type shared by the exploration
 // engines (explorer.h, parallel_explorer.h) and the durable-run layer
 // (checkpoint.{h,cc}): the Report an engine returns, the POR bookkeeping a
-// DFS subtree carries, the work-item descriptor the parallel coordinator
-// hands out, and the cooperative cancellation token. None of it depends on
+// DFS subtree carries, and the cooperative cancellation token. None of it depends on
 // a Spec type, which is what lets checkpoint.cc serialize a run's resumable
 // state without knowing which system is being checked: the decision path
 // plus the POR level bookkeeping determine every per-execution detail
@@ -206,43 +205,7 @@ struct SleepEntry {
   proc::Footprint footprint;
 };
 
-// Sleep-set state threaded through one DFS subtree walk.
-struct PorContext {
-  std::vector<PorLevel> levels;
-};
-
 }  // namespace detail
-
-// One ParallelExplorer work item: a decision-path prefix naming a disjoint
-// subtree, plus the POR bookkeeping accumulated along that prefix (the
-// footprints of sibling alternatives the coordinator's enumeration already
-// explored), so the worker rebuilds the exact sleep sets the serial engine
-// would have at that subtree. A resumed item reuses the same shape with
-// `prefix` holding the mid-subtree decision path to continue from and
-// `floor` pinning the original partition boundary the odometer may not
-// retreat past.
-struct SubtreeWork {
-  static constexpr size_t kNoFloor = static_cast<size_t>(-1);
-
-  std::vector<size_t> prefix;
-  std::vector<detail::PorLevel> por_seed;
-  // Odometer floor: decision levels below it belong to other subtrees and
-  // are never advanced. kNoFloor means prefix.size() (the fresh-item case).
-  size_t floor = kNoFloor;
-};
-
-// Where a DFS subtree walk stopped, captured by RunDfsSubtree so the
-// durable-run layer can checkpoint and later resume it. When `finished` is
-// false, `next_path` is the exact decision path the next execution would
-// have run (an execution aborted mid-run reappears here unconsumed — its
-// counters were rolled back), and `por_levels` is the sleep-set bookkeeping
-// valid along that path.
-struct SubtreeCursor {
-  bool finished = true;
-  std::vector<size_t> next_path;
-  std::vector<detail::PorLevel> por_levels;
-  size_t floor = 0;
-};
 
 }  // namespace perennial::refine
 

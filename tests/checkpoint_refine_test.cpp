@@ -26,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include "src/mailboat/mail_harness.h"
@@ -44,6 +46,7 @@ namespace {
 using refine::CancelToken;
 using refine::CheckpointData;
 using refine::CheckpointSubtree;
+using refine::ExplorationConfigFp;
 using refine::Explorer;
 using refine::ExplorerOptions;
 using refine::ExplorerProgress;
@@ -379,6 +382,27 @@ TEST(CheckpointFile, TornAndTamperedFilesRejected) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointFile, ConfigFingerprintIsPinned) {
+  // Checkpoints written by earlier builds must keep resuming: the config
+  // fingerprint of a given option set may never drift (e.g. by renumbering
+  // ExplorerOptions::Mode). The pinned values were computed before plain
+  // random mode was removed.
+  ExplorerOptions dfs;
+  dfs.max_crashes = 2;
+  dfs.use_por = true;
+  dfs.dedup_histories = true;
+  dfs.run_id = "wal-recovery-crash";
+  EXPECT_EQ(ExplorationConfigFp(dfs), 0x7ab594b0fc9a4d5cULL);
+  ExplorerOptions pct;
+  pct.mode = ExplorerOptions::Mode::kPct;
+  pct.use_por = true;
+  pct.random_runs = 500;
+  pct.seed = 7;
+  pct.swarm_seeds = 4;
+  pct.run_id = "pct-kv-deadlock-deep";
+  EXPECT_EQ(ExplorationConfigFp(pct), 0xbf8bb4319f37aef4ULL);
+}
+
 // ---------------------------------------------------------------------------
 // Serial interrupt/resume bit-identity.
 
@@ -466,6 +490,59 @@ TEST(SerialResume, CompletedCheckpointResumesToSameReport) {
   Report replayed = sys.serial(again);
   EXPECT_TRUE(replayed.resumed);
   ExpectReportsEqual(replayed, done);
+  std::remove(path.c_str());
+}
+
+ino_t InodeOf(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+TEST(SerialResume, PeriodicCheckpointsKeepCadenceAcrossItems) {
+  // A parallel checkpoint holds many work items; a serial resume of it must
+  // keep writing a checkpoint every checkpoint_every_execs executions
+  // across item boundaries, not only within the first item it runs.
+  System sys = TenSystems()[3];  // wal-2writers
+  ExplorerOptions opts;
+  opts.max_crashes = 1;
+  opts.run_id = sys.name;
+  const std::string path = CkptPath("cadence");
+  std::remove(path.c_str());
+  CancelToken token;
+  ExplorerOptions first = opts;
+  first.checkpoint_path = path;
+  first.num_workers = 2;
+  first.cancel_token = &token;
+  first.progress_interval = 1;
+  first.progress_callback = [&token](const ExplorerProgress& p) {
+    if (p.executions >= 3) {
+      token.RequestCancel();
+    }
+  };
+  ASSERT_NE(sys.parallel(first).outcome, RunOutcome::kComplete);
+  CheckpointData data;
+  ASSERT_TRUE(LoadCheckpoint(path, 0, &data).ok());
+  ASSERT_GT(data.subtrees.size(), 1u);
+
+  // Each write renames a fresh file over the checkpoint: a new inode.
+  ExplorerOptions resume = opts;
+  resume.resume_path = path;
+  resume.checkpoint_path = path;
+  resume.checkpoint_every_execs = 5;
+  resume.progress_interval = 1;
+  uint64_t executions = 0;
+  uint64_t writes = 0;
+  ino_t inode = InodeOf(path);
+  resume.progress_callback = [&](const ExplorerProgress&) {
+    ++executions;
+    const ino_t now = InodeOf(path);
+    writes += now != inode ? 1 : 0;
+    inode = now;
+  };
+  Report resumed = sys.serial(resume);
+  EXPECT_EQ(resumed.outcome, RunOutcome::kComplete);
+  ASSERT_GT(executions, 20u);
+  EXPECT_GE(writes, executions / 5 - 1) << "over " << executions << " executions";
   std::remove(path.c_str());
 }
 

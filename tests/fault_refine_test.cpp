@@ -5,7 +5,8 @@
 //     injected faults; the seeded-bug variants (missing retry in the
 //     replicated disk, missing barrier in the txn log) are caught;
 //   * retry/backoff is deterministic under the DFS scheduler;
-//   * RandomDriver's env single-candidate guard keeps seed streams stable.
+//   * PctDriver's env single-candidate guard keeps seed streams stable.
+#include <map>
 #include <string>
 #include <vector>
 
@@ -254,7 +255,7 @@ TEST(FaultRefine, DfsRunsAreReproducibleWithRetries) {
   EXPECT_EQ(a.env_events_fired, b.env_events_fired);
 }
 
-// ---------- RandomDriver: env sampling ----------
+// ---------- PCT: env sampling ----------
 
 TEST(FaultRandom, SameSeedSameReportWithFaults) {
   ReplHarnessOptions options;
@@ -262,7 +263,7 @@ TEST(FaultRandom, SameSeedSameReportWithFaults) {
   options.client_ops = {{ReplSpec::MakeWrite(0, 5)}, {ReplSpec::MakeWrite(0, 7)}};
   options.fault_plan.transient_writes = 1;
   ExplorerOptions opts;
-  opts.mode = ExplorerOptions::Mode::kRandom;
+  opts.mode = ExplorerOptions::Mode::kPct;
   opts.random_runs = 300;
   opts.seed = 42;
   opts.env_probability = 0.3;
@@ -280,15 +281,19 @@ TEST(FaultRandom, SameSeedSameReportWithFaults) {
 
 TEST(FaultRandom, SingleCandidateEnvDrawKeepsStreamComparable) {
   // Regression for the single-candidate uniform-draw guard: with exactly
-  // one env alternative on offer, RandomDriver must consume ONE Bernoulli
-  // draw and ZERO Below() draws at each decision point. We mirror the
-  // driver's consumption against a reference Rng: after any prefix of
+  // one env alternative on offer, the driver must consume ONE Bernoulli
+  // draw and ZERO Below() draws for it at each decision point. We mirror
+  // the driver's consumption against a reference Rng: after any prefix of
   // decisions with a lone env candidate, both streams are at the same
   // state, so the chosen thread sequence matches a hand-rolled replay.
-  ExplorerOptions opts;
+  // Depth 1 draws no change points; the mirror takes the first-sight
+  // priority draws (depth + Below(2^20), in alternative order) and picks
+  // the first highest-priority thread.
   const double env_p = 0.75;
-  refine::detail::RandomDriver driver(9, /*crash_p=*/0.0, env_p);
+  refine::detail::PctDriver driver(9, /*depth=*/1, /*change_budget=*/64, /*crash_p=*/0.0,
+                                   env_p);
   Rng mirror(9);
+  std::map<int, int64_t> priority;
   std::vector<refine::detail::Alt> alts;
   alts.push_back({refine::detail::AltKind::kThread, 0, 0, "t0"});
   alts.push_back({refine::detail::AltKind::kThread, 1, 0, "t1"});
@@ -298,11 +303,15 @@ TEST(FaultRandom, SingleCandidateEnvDrawKeepsStreamComparable) {
     if (mirror.Chance(env_p)) {
       // Lone env candidate: no Below() draw may be consumed.
       EXPECT_EQ(pick, 2u) << "decision " << i;
-    } else {
-      EXPECT_EQ(pick, mirror.Below(2)) << "decision " << i;
+      continue;
     }
+    for (int tid : {0, 1}) {
+      if (priority.find(tid) == priority.end()) {
+        priority[tid] = 1 + static_cast<int64_t>(mirror.Below(1u << 20));
+      }
+    }
+    EXPECT_EQ(pick, priority[1] > priority[0] ? 1u : 0u) << "decision " << i;
   }
-  (void)opts;
 }
 
 }  // namespace

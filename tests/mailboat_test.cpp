@@ -243,7 +243,7 @@ TEST(MailCheck, TwoUsersRandomised) {
       {{MailAction::Kind::kPickupUnlock, 1, ""}},
   };
   ExplorerOptions opts;
-  opts.mode = ExplorerOptions::Mode::kRandom;
+  opts.mode = ExplorerOptions::Mode::kPct;
   opts.random_runs = 150;
   opts.seed = 3;
   opts.max_crashes = 1;

@@ -309,29 +309,5 @@ TEST(ParallelProgress, CallbackSeesMonotoneExecutions) {
   EXPECT_LE(seen.back(), report.executions);
 }
 
-// ---------- Parallel random mode ----------
-
-TEST(ParallelRandom, DeterministicPerSeedAndWorkerCount) {
-  ReplHarnessOptions options;
-  options.num_blocks = 1;
-  options.client_ops = {{ReplSpec::MakeWrite(0, 5)}, {ReplSpec::MakeWrite(0, 7)}};
-  ExplorerOptions opts;
-  opts.mode = ExplorerOptions::Mode::kRandom;
-  opts.random_runs = 400;
-  opts.seed = 7;
-  opts.num_workers = 4;
-  auto run = [&] {
-    ParallelExplorer<ReplSpec> parallel(ReplSpec{1}, [&] { return MakeReplInstance(options); },
-                                        opts);
-    return parallel.Run();
-  };
-  Report a = run();
-  Report b = run();
-  EXPECT_EQ(a.executions, 400u);
-  EXPECT_TRUE(a.ok()) << a.Summary();
-  EXPECT_EQ(a.Summary(), b.Summary());
-  EXPECT_EQ(a.total_steps, b.total_steps);
-}
-
 }  // namespace
 }  // namespace perennial::systems

@@ -14,7 +14,7 @@
 //     the calibrated budget truncates with ZERO violations while PCT d=3
 //     finds the bug within the same budget for every suite seed, and a
 //     4-way swarm splitting that budget finds it too;
-//   * RandomDriver draw paths (regression for the quiescent-point crash
+//   * PCT crash/env draw paths (regression for the quiescent-point crash
 //     bias): crash_probability=0 injects no crashes, env_probability=0
 //     fires no env events, and the positive-probability variants do;
 //   * a PCT-found violation minimizes to a 1-minimal replayable witness
@@ -203,20 +203,20 @@ TEST(PctCheckpoint, SerialInterruptParallelResume) {
   });
 }
 
-// ---------- RandomDriver draw-path regressions ----------
+// ---------- PCT draw-path regressions ----------
 
 // The repl recovery_zeroes bug needs a crash to manifest; with the crash
-// probability pinned to zero the random walk must never inject one. This is
-// the regression for the quiescent-point bias, where the observe-vs-crash
+// probability pinned to zero the sample must never inject one. This is the
+// regression for the quiescent-point bias, where the observe-vs-crash
 // fallback used to flip a fair coin regardless of crash_probability.
-TEST(RandomDriverRegression, ZeroCrashProbabilityInjectsNoCrashes) {
+TEST(PctDrawRegression, ZeroCrashProbabilityInjectsNoCrashes) {
   ReplHarnessOptions options;
   options.num_blocks = 1;
   options.client_ops = {{ReplSpec::MakeWrite(0, 5)}};
   options.mutations.recovery_zeroes = true;
   auto factory = [&] { return MakeReplInstance(options); };
   ExplorerOptions opts;
-  opts.mode = ExplorerOptions::Mode::kRandom;
+  opts.mode = ExplorerOptions::Mode::kPct;
   opts.max_crashes = 1;
   opts.max_violations = 1 << 20;
   opts.random_runs = 200;
@@ -229,10 +229,10 @@ TEST(RandomDriverRegression, ZeroCrashProbabilityInjectsNoCrashes) {
   opts.crash_probability = 0.5;
   Report some = Explorer<ReplSpec>(ReplSpec{1}, factory, opts).Run();
   EXPECT_GT(some.crashes_injected, 0u);
-  EXPECT_FALSE(some.ok()) << "crashing walk missed the recovery_zeroes bug";
+  EXPECT_FALSE(some.ok()) << "crashing sample missed the recovery_zeroes bug";
 }
 
-TEST(RandomDriverRegression, ZeroEnvProbabilityFiresNoEvents) {
+TEST(PctDrawRegression, ZeroEnvProbabilityFiresNoEvents) {
   // Single-candidate env draws: exactly one env alternative (the disk-1
   // failure event) is on offer, so any bias in the declined-draw fallback
   // would fire it spuriously.
@@ -242,7 +242,7 @@ TEST(RandomDriverRegression, ZeroEnvProbabilityFiresNoEvents) {
   options.with_disk1_failure_event = true;
   auto factory = [&] { return MakeReplInstance(options); };
   ExplorerOptions opts;
-  opts.mode = ExplorerOptions::Mode::kRandom;
+  opts.mode = ExplorerOptions::Mode::kPct;
   opts.max_crashes = 0;
   opts.max_violations = 1 << 20;
   opts.random_runs = 100;
@@ -256,9 +256,8 @@ TEST(RandomDriverRegression, ZeroEnvProbabilityFiresNoEvents) {
   EXPECT_GT(all.env_events_fired, 0u);
 }
 
-// PCT shares the crash/env draw code paths with RandomDriver; pin the same
-// contract there.
-TEST(RandomDriverRegression, PctRespectsZeroProbabilities) {
+// Both probabilities pinned to zero at once, on the crash-only bug.
+TEST(PctDrawRegression, PctRespectsZeroProbabilities) {
   ReplHarnessOptions options;
   options.num_blocks = 1;
   options.client_ops = {{ReplSpec::MakeWrite(0, 5)}};

@@ -519,7 +519,7 @@ TEST_P(RandomExploreTest, ReplicatedDiskHoldsUnderRandomSchedules) {
   options.client_ops = {{systems::ReplSpec::MakeWrite(0, 1), systems::ReplSpec::MakeWrite(1, 2)},
                         {systems::ReplSpec::MakeWrite(0, 3), systems::ReplSpec::MakeRead(1)}};
   refine::ExplorerOptions opts;
-  opts.mode = refine::ExplorerOptions::Mode::kRandom;
+  opts.mode = refine::ExplorerOptions::Mode::kPct;
   opts.random_runs = 120;
   opts.seed = GetParam();
   opts.max_crashes = 2;

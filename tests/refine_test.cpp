@@ -632,9 +632,9 @@ TEST(Linearize, BlockedOperationsDelayUntilEnabled) {
   EXPECT_NE(checker.Check(h2), std::nullopt);
 }
 
-TEST(Explorer, RandomModeAlsoWorks) {
+TEST(Explorer, PctModeAlsoWorks) {
   ExplorerOptions opts;
-  opts.mode = ExplorerOptions::Mode::kRandom;
+  opts.mode = ExplorerOptions::Mode::kPct;
   opts.random_runs = 200;
   opts.seed = 42;
   opts.max_crashes = 1;
@@ -701,13 +701,13 @@ TEST(Explorer, OdometerSurvivesEarlyAbortedRuns) {
   EXPECT_EQ(again.Run().Summary(), report.Summary());
 }
 
-TEST(Explorer, RandomModeSameSeedSameTrace) {
-  // Seed determinism of the random driver (and its uniform crash
-  // sampling): identical options must replay the identical run sequence,
-  // violation for violation, trace for trace.
+TEST(Explorer, PctModeSameSeedSameTrace) {
+  // Seed determinism of the PCT driver (and its crash sampling): identical
+  // options must replay the identical run sequence, violation for
+  // violation, trace for trace.
   auto factory = [] { return MakeDiskRegisterInstance(true); };  // buggy: wipes on recovery
   ExplorerOptions opts;
-  opts.mode = ExplorerOptions::Mode::kRandom;
+  opts.mode = ExplorerOptions::Mode::kPct;
   opts.random_runs = 300;
   opts.seed = 123;
   opts.max_crashes = 1;
@@ -716,7 +716,7 @@ TEST(Explorer, RandomModeSameSeedSameTrace) {
   Report a = first.Run();
   Explorer<RegSpec> second(RegSpec{}, factory, opts);
   Report b = second.Run();
-  ASSERT_FALSE(a.ok());  // the wiping recovery is reachable by random crashes
+  ASSERT_FALSE(a.ok());  // the wiping recovery is reachable by sampled crashes
   ASSERT_EQ(a.violations.size(), b.violations.size());
   for (size_t i = 0; i < a.violations.size(); ++i) {
     EXPECT_EQ(a.violations[i].trace, b.violations[i].trace);
@@ -740,6 +740,37 @@ TEST(Explorer, ProgressCallbackFiresEveryInterval) {
     EXPECT_EQ(seen[i].violations, 0u);
   }
   EXPECT_LE(seen.back().total_steps, report.total_steps);
+}
+
+TEST(Explorer, PctProgressIsCumulativeAcrossSlices) {
+  // PCT runs in 64-run slices; the callback must count the whole run, not
+  // restart with every slice.
+  std::vector<uint64_t> seen;
+  ExplorerOptions opts;
+  opts.mode = ExplorerOptions::Mode::kPct;
+  opts.max_crashes = 1;
+  opts.random_runs = 256;
+  opts.progress_interval = 16;
+  opts.progress_callback = [&](const ExplorerProgress& p) { seen.push_back(p.executions); };
+  Report report =
+      Explorer<RegSpec>(RegSpec{}, [] { return MakeDiskRegisterInstance(false); }, opts).Run();
+  ASSERT_TRUE(report.ok()) << report.Summary();
+  ASSERT_EQ(report.executions, 256u);
+  ASSERT_EQ(seen.size(), 16u);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], 16 * (i + 1));
+  }
+
+  // At the default interval (1024) a 4,096-run sample reports 4 times.
+  seen.clear();
+  opts.random_runs = 4096;
+  opts.progress_interval = ExplorerOptions{}.progress_interval;
+  report = Explorer<RegSpec>(RegSpec{}, [] { return MakeDiskRegisterInstance(false); }, opts).Run();
+  ASSERT_TRUE(report.ok()) << report.Summary();
+  EXPECT_GE(seen.size(), 4u);
+  for (size_t i = 1; i < seen.size(); ++i) {
+    EXPECT_GT(seen[i], seen[i - 1]);
+  }
 }
 
 TEST(Explorer, DedupHistoriesKeepsVerdictAndCountsChecks) {

@@ -160,7 +160,7 @@ TEST(ReplCheck, RandomisedLargerConfigRefines) {
                         {ReplSpec::MakeWrite(1, 3), ReplSpec::MakeRead(0)},
                         {ReplSpec::MakeRead(2), ReplSpec::MakeWrite(2, 4)}};
   ExplorerOptions opts;
-  opts.mode = ExplorerOptions::Mode::kRandom;
+  opts.mode = ExplorerOptions::Mode::kPct;
   opts.random_runs = 400;
   opts.seed = 7;
   opts.max_crashes = 2;
