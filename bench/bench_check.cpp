@@ -264,12 +264,17 @@ int main(int argc, char** argv) {
         } else {
           double allowed = 3.0 * base.ms;
           if (allowed < 2000.0) {
-            allowed = 2000.0;  // absorbs ctest -j co-scheduling on 1 CPU
+            // Absorbs the suites ctest -j runs beside this cell: they share
+            // the host's CPUs (4 on the bench host) and its disk barriers.
+            allowed = 2000.0;
           }
-          // CPU ceiling: 4x the committed per-request CPU, floored to
-          // absorb ctest -j co-scheduling jitter on a single-CPU host.
-          // The host's virtualized-disk phases swing measured CPU ~3x for
-          // the same binary (see EXPERIMENTS.md), so a tighter multiplier
+          // CPU ceiling: 4x the committed per-request CPU, floored at
+          // 150 us. The figure is process CPU summed over every thread on
+          // every CPU (server roles and the in-process loadgen alike), so
+          // it does not shrink or grow with the core count, but neighbours
+          // under ctest -j still cost it cache and lock contention. The
+          // host's virtualized-disk phases swing measured CPU ~3x for the
+          // same binary (see EXPERIMENTS.md), so a tighter multiplier
           // flakes; a real hot-path regression scales both phases and
           // still trips this.
           double cpu_allowed = 4.0 * base.cpu_us_per_request;

@@ -55,7 +55,7 @@ int main() {
   proc::SchedulerScope scope(&sched);
 
   std::printf("==== SMTP: deliver two messages to user1 ====\n");
-  std::printf("S: %s\n", smtp::SmtpSession::Greeting().c_str());
+  std::printf("S: %s\n", smtp::SmtpSession::kDialect.greeting);
   smtp::SmtpSession smtp_session(&mail);
   Converse(sched, smtp_session,
            {"HELO laptop", "MAIL FROM:<alice@remote.org>", "RCPT TO:<user1@example.com>", "DATA",
@@ -86,7 +86,7 @@ int main() {
   }
 
   std::printf("\n==== POP3: user1 reads and deletes their mail ====\n");
-  std::printf("S: %s\n", smtp::Pop3Session::Greeting().c_str());
+  std::printf("S: %s\n", smtp::Pop3Session::kDialect.greeting);
   smtp::Pop3Session pop_session(&mail);
   Converse(sched, pop_session,
            {"USER user1", "PASS anything", "STAT", "LIST", "RETR 1", "DELE 1", "RETR 2", "DELE 2",

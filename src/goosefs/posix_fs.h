@@ -40,8 +40,8 @@ class Fsyncer {
   // dirty at the time — see netserv::GroupCommitter). OnDirty fires after a
   // successful write made `fd` dirty; OnClose fires when `fd` is being
   // closed (a fresh open of the same file starts clean). Default no-ops.
-  virtual void OnDirty(int fd) {}
-  virtual void OnClose(int fd) {}
+  virtual void OnDirty(int /*fd*/) {}
+  virtual void OnClose(int /*fd*/) {}
 };
 
 class PosixFilesys : public Filesys {
@@ -61,7 +61,7 @@ class PosixFilesys : public Filesys {
     // Create/Link/Delete ("create.entry", "create.dirsync", "link.entry",
     // "link.dirsync", "delete.entry", "delete.dirsync"). The string
     // argument is the directory involved.
-    std::function<void(const char* point, const std::string& dir)> hook;
+    std::function<void(const char* point, const std::string& dir)> hook{};
     // When set, all durability fsyncs (file Sync and the directory fsyncs
     // inside Create/Link/Delete) go through this instead of ::fsync —
     // the group-commit hook. EnsureDirs's one-off root fsync stays direct
@@ -78,7 +78,7 @@ class PosixFilesys : public Filesys {
     // resurrected by a crash (post-ack unlink undone) is removed by
     // Recover's spool sweep. Cuts a Deliver from 4 durability barriers to
     // 2 without weakening any acked guarantee.
-    std::vector<std::string> recovery_reconciled_dirs;
+    std::vector<std::string> recovery_reconciled_dirs{};
     // Syscall table for the data path (openat/write/pread/fsync/linkat/
     // unlinkat). Defaults to the raw syscalls; tests and fault soaks pass a
     // fault::FaultInjectingSyscalls to make the disk hostile. Setup-path

@@ -47,7 +47,7 @@ struct MailSpec {
   };
 
   uint64_t num_users = 1;
-  std::vector<std::string> id_pool;  // filled by Prepare
+  std::vector<std::string> id_pool{};  // filled by Prepare
 
   State Initial() const {
     State s;

@@ -1,7 +1,7 @@
-// In-process server bundle: PosixFilesys + GroupCommitter + Mailboat +
-// MailNetServer wired together in the production configuration, for
-// benchmarks and tests that want a real server on ephemeral loopback ports
-// without forking a daemon.
+// Server bundle: PosixFilesys + GroupCommitter + Mailboat + MailNetServer
+// wired together in the production configuration. mail_serverd runs it
+// over a persistent store (clear_store = false); benchmarks and tests run
+// it in-process on ephemeral loopback ports without forking a daemon.
 //
 // Member order is the teardown order in reverse: the server stops first
 // (executors finish their in-flight barriers), then the committer, then
@@ -13,7 +13,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -32,6 +35,8 @@ class InprocMailServer {
  public:
   struct Config {
     std::string root;
+    uint16_t smtp_port = 0;  // 0 = ephemeral
+    uint16_t pop3_port = 0;
     uint64_t users = 8;
     bool group_commit = true;
     uint64_t gc_window_us = 500;
@@ -41,8 +46,9 @@ class InprocMailServer {
     uint64_t executors = 64;
     bool clear_store = true;
     // Skip spool-entry dirsyncs; Mailboat's Recover reconciles the spool,
-    // so this halves Deliver's durability barriers without weakening the
-    // acked => durable guarantee (see PosixFilesys::Options).
+    // so this halves Deliver's durability barriers (2 per delivery, not
+    // 4) without weakening the acked => durable guarantee (see
+    // PosixFilesys::Options).
     bool relaxed_spool = true;
     // Hostile-disk mode: when the plan has any nonzero rate, a seeded
     // FaultInjectingSyscalls is interposed on every data-path syscall of
@@ -60,10 +66,15 @@ class InprocMailServer {
 
   ~InprocMailServer() { Stop(); }
 
+  // False, with the reason on stderr, if the store or the ports cannot be
+  // set up.
   bool Start() {
-    ::mkdir(config_.root.c_str(), 0755);
+    ::mkdir(config_.root.c_str(), 0755);  // best effort; EnsureDirs does the rest
+    // A directory fd on the store's filesystem anchors the syncfs barrier.
     root_fd_ = ::open(config_.root.c_str(), O_DIRECTORY | O_RDONLY);
     if (root_fd_ < 0) {
+      std::fprintf(stderr, "InprocMailServer: cannot open root %s: %s\n", config_.root.c_str(),
+                   std::strerror(errno));
       return false;
     }
     if (config_.fault_plan.Any()) {
@@ -88,7 +99,10 @@ class InprocMailServer {
     }
     fs_options.sys = faults_.get();
     fs_ = std::make_unique<goosefs::PosixFilesys>(config_.root, fs_options);
-    if (!fs_->EnsureDirs(mailboat::Mailboat::DirLayout(config_.users), config_.clear_store).ok()) {
+    Status dirs =
+        fs_->EnsureDirs(mailboat::Mailboat::DirLayout(config_.users), config_.clear_store);
+    if (!dirs.ok()) {
+      std::fprintf(stderr, "InprocMailServer: EnsureDirs: %s\n", dirs.ToString().c_str());
       return false;
     }
     world_ = std::make_unique<goose::World>();
@@ -96,6 +110,8 @@ class InprocMailServer {
         world_.get(), fs_.get(), mailboat::Mailboat::Options{config_.users, 4096, 512, 42});
     proc::RunSyncVoid(mail_->Recover());
     MailNetServer::Options server_options;
+    server_options.smtp_port = config_.smtp_port;
+    server_options.pop3_port = config_.pop3_port;
     server_options.num_loops = config_.loops;
     server_options.num_executors = config_.executors;
     server_options.idle_timeout_ms = config_.idle_timeout_ms;

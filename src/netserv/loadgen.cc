@@ -19,6 +19,11 @@ namespace perennial::netserv {
 
 namespace {
 
+// Tempfail retry policy (see loadgen.h).
+constexpr uint64_t kMaxRetries = 6;
+constexpr uint64_t kRetryBackoffStartMs = 2;
+constexpr uint64_t kRetryBackoffCapMs = 64;
+
 uint64_t NowUs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
                                    std::chrono::steady_clock::now().time_since_epoch())
@@ -42,8 +47,7 @@ struct Client {
   bool in_request = false;
   uint64_t t0_us = 0;
   uint64_t seq = 0;
-  int pipe_acks = 0;   // replies consumed in the current pipelined batch
-  int rcpts_sent = 0;  // RCPT commands issued for the current message
+  int pipe_acks = 0;  // replies consumed in the current pipelined batch
   uint64_t user = 0;
   std::string cur_line;               // current message body line (no CRLF)
   std::string cur_body;               // contents the server will store
@@ -63,13 +67,10 @@ struct Client {
 constexpr int kSmtpGreeting = 0;
 constexpr int kSmtpHelo = 1;
 constexpr int kSmtpIdle = 2;
-constexpr int kSmtpMail = 3;
-constexpr int kSmtpRcpt = 4;
-constexpr int kSmtpData = 5;
-constexpr int kSmtpBody = 6;
-constexpr int kSmtpQuit = 7;
-constexpr int kSmtpPipeline = 8;  // MAIL+RCPT+DATA sent, collecting 250/250/354
-constexpr int kSmtpParked = 9;    // tempfailed; waiting out the retry backoff
+constexpr int kSmtpPipeline = 3;  // MAIL+RCPT+DATA sent, collecting 250/250/354
+constexpr int kSmtpBody = 4;
+constexpr int kSmtpQuit = 5;
+constexpr int kSmtpParked = 6;  // tempfailed; waiting out the retry backoff
 // POP3 states (one connection per pickup).
 constexpr int kPopIdle = 10;
 constexpr int kPopGreeting = 11;
@@ -222,19 +223,18 @@ class Driver {
   }
 
   // Park the client for an exponential-backoff slice and retry the current
-  // request (same body tag, no fresh budget claim); after max_retries the
+  // request (same body tag, no fresh budget claim); after kMaxRetries the
   // request is abandoned as a tempfail. `reconnect` drops the connection
   // first (421 farewells and mid-transaction failures leave the session in
   // an unknown state; a post-DATA 451/452 leaves it cleanly reset).
   void RetryOrGiveUp(Client* c, bool reconnect) {
     c->attempt += 1;
-    if (c->attempt > options_.max_retries) {
+    if (c->attempt > kMaxRetries) {
       GiveUp(c);
       return;
     }
     result_.retries += 1;
-    uint64_t backoff_ms = options_.retry_backoff_start_ms << (c->attempt - 1);
-    backoff_ms = std::min(std::max<uint64_t>(backoff_ms, 1), options_.retry_backoff_cap_ms);
+    uint64_t backoff_ms = std::min(kRetryBackoffStartMs << (c->attempt - 1), kRetryBackoffCapMs);
     c->retry_at_us = NowUs() + backoff_ms * 1000;
     parked_ += 1;
     if (reconnect) {
@@ -465,20 +465,14 @@ class Driver {
 
   // (Re)issue the current message's envelope; SendBody follows the 354.
   void IssueDeliver(Client* c) {
-    if (options_.pipeline) {
-      c->state = kSmtpPipeline;
-      c->pipe_acks = 0;
-      Queue(c, "MAIL FROM:<user0@loadgen>");
-      for (uint64_t k = 0; k < Rcpts(); ++k) {
-        Queue(c, "RCPT TO:<user" + std::to_string(RcptUser(c, k)) + "@loadgen>");
-      }
-      Queue(c, "DATA");
-      Flush(c);
-    } else {
-      c->state = kSmtpMail;
-      c->rcpts_sent = 0;
-      Send(c, "MAIL FROM:<user0@loadgen>");
+    c->state = kSmtpPipeline;
+    c->pipe_acks = 0;
+    Queue(c, "MAIL FROM:<user0@loadgen>");
+    for (uint64_t k = 0; k < Rcpts(); ++k) {
+      Queue(c, "RCPT TO:<user" + std::to_string(RcptUser(c, k)) + "@loadgen>");
     }
+    Queue(c, "DATA");
+    Flush(c);
   }
 
   // Recipients per message, clamped so fan-out never repeats a mailbox.
@@ -608,49 +602,6 @@ class Driver {
         }
         StartDeliverOrQuit(c);
         return;
-      case kSmtpMail:
-        if (!Ok(line, "250")) {
-          if (IsSmtpTemp(line)) {
-            c->retry_deliver = true;
-            RetryOrGiveUp(c, /*reconnect=*/true);
-            return;
-          }
-          Unexpected(c);
-          return;
-        }
-        c->state = kSmtpRcpt;
-        Send(c, "RCPT TO:<user" + std::to_string(RcptUser(c, c->rcpts_sent++)) + "@loadgen>");
-        return;
-      case kSmtpRcpt:
-        if (!Ok(line, "250")) {
-          if (IsSmtpTemp(line)) {
-            c->retry_deliver = true;
-            RetryOrGiveUp(c, /*reconnect=*/true);
-            return;
-          }
-          Unexpected(c);
-          return;
-        }
-        if (static_cast<uint64_t>(c->rcpts_sent) < Rcpts()) {
-          Send(c, "RCPT TO:<user" + std::to_string(RcptUser(c, c->rcpts_sent++)) + "@loadgen>");
-          return;
-        }
-        c->state = kSmtpData;
-        Send(c, "DATA");
-        return;
-      case kSmtpData: {
-        if (!Ok(line, "354")) {
-          if (IsSmtpTemp(line)) {
-            c->retry_deliver = true;
-            RetryOrGiveUp(c, /*reconnect=*/true);
-            return;
-          }
-          Unexpected(c);
-          return;
-        }
-        SendBody(c);
-        return;
-      }
       case kSmtpPipeline: {
         // Replies to the MAIL/RCPT.../DATA batch arrive in order.
         int total = static_cast<int>(Rcpts()) + 2;

@@ -4,6 +4,18 @@
 // connections per driver thread because clients are coroutine-free FSMs —
 // a few hundred bytes each, advanced purely by socket readiness.
 //
+// SMTP clients pipeline RFC 2920-style: MAIL/RCPT/DATA go out as one batch
+// and their replies are read together (the body still waits for 354),
+// which is how real MTAs drive busy servers.
+//
+// Tempfail handling (RFC client semantics): a 421/451/452 SMTP reply, a
+// "-ERR" POP3 login reply, or a connection lost mid-request is retried
+// with the SAME body tag after bounded exponential backoff (2 ms doubling,
+// capped at 64 ms), up to 6 attempts. Only after that does the request
+// count as a tempfail — so under a hostile disk the generator behaves like
+// a real MTA peer, and every tag it gave up on is recorded for the
+// acked-vs-durable audit.
+//
 // Every acknowledged delivery carries a unique body tag which is recorded
 // in the result, so a crash harness can SIGKILL the server mid-run and
 // check acked ⇒ durable against the survivor set.
@@ -32,25 +44,11 @@ struct LoadgenOptions {
   // durable delivery, so this scales the durability work per SMTP
   // transaction without scaling the protocol work.
   uint64_t rcpts_per_msg = 1;
-  // RFC 2920-style SMTP pipelining: send MAIL/RCPT/DATA as one batch and
-  // read the three replies together (the body still waits for 354). Halves
-  // the round trips per delivery, which is how real MTAs drive busy servers.
-  bool pipeline = true;
   uint64_t threads = 1;         // driver threads (each owns an epoll set)
   uint64_t rng_seed = 1;
   // Abort the run if no request completes for this long (server hung or
   // killed). The crash harness relies on this to return after SIGKILL.
   uint64_t stall_timeout_ms = 10000;
-  // Tempfail handling (RFC client semantics): a 421/451/452 SMTP reply, a
-  // "-ERR" POP3 login reply, or a connection lost mid-request is retried
-  // with the SAME body tag after bounded exponential backoff
-  // (start * 2^attempt, capped), up to max_retries attempts. Only after the
-  // budget is exhausted does the request count as a tempfail — so under a
-  // hostile disk the generator behaves like a real MTA peer, and every tag
-  // it gave up on is recorded for the acked-vs-durable audit.
-  uint64_t max_retries = 6;
-  uint64_t retry_backoff_start_ms = 2;
-  uint64_t retry_backoff_cap_ms = 64;
   // Optional: incremented on every acknowledged delivery, so an external
   // watcher (the crash harness) can time its SIGKILL. Not owned.
   std::atomic<uint64_t>* acked_counter = nullptr;

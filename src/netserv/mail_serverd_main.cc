@@ -17,9 +17,7 @@
 // Recover against the surviving store — the same crash-restart contract the
 // crashreal harness checks, now available in production form. Signals sent
 // to the supervisor are forwarded to the child.
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -32,12 +30,7 @@
 #include <thread>
 
 #include "src/fault/syscall_fault.h"
-#include "src/goose/world.h"
-#include "src/goosefs/posix_fs.h"
-#include "src/mailboat/mailboat.h"
-#include "src/netserv/group_commit.h"
-#include "src/netserv/server.h"
-#include "src/proc/task.h"
+#include "src/netserv/harness.h"
 
 namespace {
 
@@ -97,23 +90,22 @@ bool FlagSet(int argc, char** argv, const char* name) {
 int RunServer(int argc, char** argv) {
   using namespace perennial;
 
-  std::string root = FlagStr(argc, argv, "--root", "/tmp/perennial-mail");
-  uint64_t users = FlagU64(argc, argv, "--users", 100);
-  bool group_commit = !FlagSet(argc, argv, "--no-group-commit");
-
-  ::mkdir(root.c_str(), 0755);  // best effort; EnsureDirs handles the rest
-
-  // A directory fd on the store's filesystem anchors the syncfs barrier.
-  int root_fd = ::open(root.c_str(), O_DIRECTORY | O_RDONLY);
-  if (root_fd < 0) {
-    std::fprintf(stderr, "mail_serverd: cannot open root %s: %s\n", root.c_str(),
-                 std::strerror(errno));
-    return 1;
-  }
-
+  netserv::InprocMailServer::Config config;
+  config.root = FlagStr(argc, argv, "--root", "/tmp/perennial-mail");
+  config.smtp_port = static_cast<uint16_t>(FlagU64(argc, argv, "--smtp-port", 0));
+  config.pop3_port = static_cast<uint16_t>(FlagU64(argc, argv, "--pop3-port", 0));
+  config.users = FlagU64(argc, argv, "--users", 100);
+  config.group_commit = !FlagSet(argc, argv, "--no-group-commit");
+  config.gc_window_us = FlagU64(argc, argv, "--gc-window-us", 500);
+  config.gc_batch = FlagU64(argc, argv, "--gc-batch", 64);
+  config.loops = FlagU64(argc, argv, "--loops", 2);
+  config.executors = FlagU64(argc, argv, "--executors", 64);
+  config.clear_store = false;
+  config.relaxed_spool = !FlagSet(argc, argv, "--no-relaxed-spool");
+  config.idle_timeout_ms = FlagU64(argc, argv, "--idle-timeout-ms", 0);
+  config.max_conns = FlagU64(argc, argv, "--max-conns", 0);
   // Hostile-disk mode (soaks and demos): inject syscall faults at the
   // configured rates into the data path and the commit barriers.
-  std::unique_ptr<fault::FaultInjectingSyscalls> faults;
   std::string fault_spec = FlagStr(argc, argv, "--fault-plan", "");
   if (!fault_spec.empty()) {
     Result<fault::SyscallFaultPlan> plan = fault::SyscallFaultPlan::Parse(fault_spec);
@@ -121,63 +113,23 @@ int RunServer(int argc, char** argv) {
       std::fprintf(stderr, "mail_serverd: %s\n", plan.status().ToString().c_str());
       return 1;
     }
-    if (plan.value().Any()) {
-      faults = std::make_unique<fault::FaultInjectingSyscalls>(plan.value());
-    }
+    config.fault_plan = plan.value();
   }
 
-  netserv::GroupCommitter committer(netserv::GroupCommitter::Options{
-      .max_wait_us = FlagU64(argc, argv, "--gc-window-us", 500),
-      .max_batch = FlagU64(argc, argv, "--gc-batch", 64),
-      .barrier = netserv::GroupCommitter::Barrier::kSyncfs,
-      .syncfs_fd = root_fd,
-      .sys = faults.get(),
-  });
-  if (group_commit) {
-    committer.Start();
-  }
-
-  goosefs::PosixFilesys::Options fs_options;
-  fs_options.cache_dir_fds = true;
-  fs_options.fsync_dirs = true;
-  fs_options.fsyncer = group_commit ? &committer : nullptr;
-  if (!FlagSet(argc, argv, "--no-relaxed-spool")) {
-    // Recover() reconciles the spool after a crash, so spool-entry
-    // dirsyncs buy nothing: skip them (2 barriers per delivery, not 4).
-    fs_options.recovery_reconciled_dirs = {"spool"};
-  }
-  fs_options.sys = faults.get();
-  goosefs::PosixFilesys fs(root, fs_options);
-  Status s = fs.EnsureDirs(mailboat::Mailboat::DirLayout(users), /*clear_contents=*/false);
-  if (!s.ok()) {
-    std::fprintf(stderr, "mail_serverd: EnsureDirs: %s\n", s.ToString().c_str());
+  netserv::InprocMailServer stack(config);
+  if (!stack.Start()) {
     return 1;
   }
-
-  goose::World world;
-  mailboat::Mailboat mail(&world, &fs, mailboat::Mailboat::Options{users, 4096, 512, 42});
-  proc::RunSyncVoid(mail.Recover());
-
-  netserv::MailNetServer::Options server_options;
-  server_options.smtp_port = static_cast<uint16_t>(FlagU64(argc, argv, "--smtp-port", 0));
-  server_options.pop3_port = static_cast<uint16_t>(FlagU64(argc, argv, "--pop3-port", 0));
-  server_options.num_loops = FlagU64(argc, argv, "--loops", 2);
-  server_options.num_executors = FlagU64(argc, argv, "--executors", 64);
-  server_options.idle_timeout_ms = FlagU64(argc, argv, "--idle-timeout-ms", 0);
-  server_options.max_conns = FlagU64(argc, argv, "--max-conns", 0);
-  netserv::MailNetServer server(&mail, server_options);
-  if (!server.Start()) {
-    return 1;
-  }
+  netserv::MailNetServer& server = *stack.server();
 
   std::printf("ports %u %u\n", server.smtp_port(), server.pop3_port());
   std::fflush(stdout);
   std::fprintf(stderr,
                "mail_serverd: root=%s users=%llu loops=%llu executors=%llu group_commit=%s%s\n",
-               root.c_str(), static_cast<unsigned long long>(users),
-               static_cast<unsigned long long>(server_options.num_loops),
-               static_cast<unsigned long long>(server_options.num_executors),
-               group_commit ? "on" : "off", faults != nullptr ? " fault-plan=on" : "");
+               config.root.c_str(), static_cast<unsigned long long>(config.users),
+               static_cast<unsigned long long>(config.loops),
+               static_cast<unsigned long long>(config.executors),
+               config.group_commit ? "on" : "off", stack.faults() != nullptr ? " fault-plan=on" : "");
 
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
@@ -196,14 +148,12 @@ int RunServer(int argc, char** argv) {
                  drained ? "complete" : "timed out",
                  static_cast<unsigned long long>(server.shed_connects()));
   }
-  server.Stop();
-  committer.Stop();
-  ::close(root_fd);
+  stack.Stop();
   std::fprintf(stderr, "mail_serverd: served %llu lines over %llu connections\n",
                static_cast<unsigned long long>(server.lines_served()),
                static_cast<unsigned long long>(server.accepted()));
-  if (faults != nullptr) {
-    std::fprintf(stderr, "mail_serverd: injected %s\n", faults->InjectedSummary().c_str());
+  if (stack.faults() != nullptr) {
+    std::fprintf(stderr, "mail_serverd: injected %s\n", stack.faults()->InjectedSummary().c_str());
   }
   return 0;
 }

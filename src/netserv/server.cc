@@ -1,6 +1,5 @@
 #include "src/netserv/server.h"
 
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
@@ -29,14 +28,15 @@ uint64_t NowMs() {
 }  // namespace
 
 // One event-loop thread: owns an epoll set, the byte buffers of its
-// connections, and the only right to close their fds. Cross-thread inputs
-// (new connections from the acceptor, retire requests from executors) are
-// queued under pending_mu_ and the loop is nudged via an eventfd.
+// connections, and the only right to close their fds. It accepts its own
+// connections from the shared listening sockets. Cross-thread inputs
+// (retire and resume requests from executors) are queued under
+// pending_mu_ and the loop is nudged via an eventfd.
 class EventLoop {
  public:
   using Conn = MailNetServer::Conn;
 
-  EventLoop(MailNetServer* server, uint64_t id) : server_(server), id_(id) {}
+  explicit EventLoop(MailNetServer* server) : server_(server) {}
 
   ~EventLoop() {
     if (epfd_ >= 0) {
@@ -47,17 +47,16 @@ class EventLoop {
     }
   }
 
+  // Every loop watches both listening sockets, level-triggered so the
+  // connections a bounded accept batch leaves behind are reported again,
+  // and EPOLLEXCLUSIVE so a new connection wakes one blocked loop rather
+  // than all of them.
   bool Init() {
     epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
     evfd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (epfd_ < 0 || evfd_ < 0) {
-      return false;
-    }
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.fd = evfd_;
-    return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, evfd_, &ev) == 0;
+    return epfd_ >= 0 && evfd_ >= 0 && Watch(evfd_, EPOLLIN) &&
+           Watch(server_->smtp_listen_fd_, EPOLLIN | EPOLLEXCLUSIVE) &&
+           Watch(server_->pop3_listen_fd_, EPOLLIN | EPOLLEXCLUSIVE);
   }
 
   void StartThread() {
@@ -68,14 +67,6 @@ class EventLoop {
     if (thread_.joinable()) {
       thread_.join();
     }
-  }
-
-  void AddConn(std::shared_ptr<Conn> conn) {
-    {
-      std::scoped_lock lock(pending_mu_);
-      pending_add_.push_back(std::move(conn));
-    }
-    Nudge();
   }
 
   // Executors call this when a connection should be closed (quit handled,
@@ -146,6 +137,14 @@ class EventLoop {
           }
           continue;
         }
+        if (fd == server_->smtp_listen_fd_) {
+          AcceptBatch(fd, smtp::Protocol::kSmtp);
+          continue;
+        }
+        if (fd == server_->pop3_listen_fd_) {
+          AcceptBatch(fd, smtp::Protocol::kPop3);
+          continue;
+        }
         auto it = conns_.find(fd);
         if (it == conns_.end()) {
           continue;  // retired earlier in this batch
@@ -206,10 +205,8 @@ class EventLoop {
       if (!drain) {
         server_->idle_reaped_.fetch_add(1, std::memory_order_relaxed);
       }
-      const char* farewell =
-          drain ? (conn->is_smtp ? "421 server shutting down" : "-ERR server shutting down")
-                : (conn->is_smtp ? "421 idle timeout" : "-ERR idle timeout");
-      server_->QueueResponseLocked(conn, farewell);
+      const smtp::Dialect& dialect = conn->session->dialect();
+      server_->QueueResponseLocked(conn, drain ? dialect.shutting_down : dialect.idle_timeout);
       // Hand the connection to an executor as if the peer hung up: the
       // executor aborts the session (releasing any held lock) and retires.
       conn->peer_eof = true;
@@ -219,17 +216,12 @@ class EventLoop {
   }
 
   void ProcessPending() {
-    std::vector<std::shared_ptr<Conn>> adds;
     std::vector<std::shared_ptr<Conn>> retires;
     std::vector<std::shared_ptr<Conn>> resumes;
     {
       std::scoped_lock lock(pending_mu_);
-      adds.swap(pending_add_);
       retires.swap(pending_retire_);
       resumes.swap(pending_resume_);
-    }
-    for (auto& conn : adds) {
-      RegisterConn(conn);
     }
     for (auto& conn : retires) {
       RetireConn(conn);
@@ -241,22 +233,75 @@ class EventLoop {
     }
   }
 
-  void RegisterConn(const std::shared_ptr<Conn>& conn) {
+  bool Watch(int fd, uint32_t events) {
     struct epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
-    ev.data.fd = conn->fd;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, conn->fd, &ev) != 0) {
-      ::close(conn->fd);
+    ev.events = events;
+    ev.data.fd = fd;
+    return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+  }
+
+  // Accepts at most a bounded batch per wake, so one loop cannot starve
+  // its own connections under a connect storm; the level-triggered
+  // listener reports the rest on the next epoll_wait, here or on another
+  // loop. Overload shedding and drain refuse at the door with the
+  // protocol's retriable farewell (not a silent RST) instead of queueing
+  // work the executors can't keep up with.
+  void AcceptBatch(int listen_fd, smtp::Protocol protocol) {
+    constexpr int kAcceptBatch = 16;
+    int taken = 0;
+    for (; taken < kAcceptBatch; ++taken) {
+      int cfd = Accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (cfd < 0) {
+        break;  // EAGAIN (drained, or another loop won the race) or a transient error
+      }
+      std::unique_ptr<smtp::Session> session = smtp::NewSession(protocol, server_->mail_);
+      bool drain = server_->draining_.load(std::memory_order_relaxed);
+      if (drain || (server_->options_.max_conns > 0 &&
+                    server_->live_conns_.load(std::memory_order_relaxed) >=
+                        static_cast<int64_t>(server_->options_.max_conns))) {
+        const smtp::Dialect& dialect = session->dialect();
+        std::string msg = std::string(drain ? dialect.shutting_down : dialect.busy) + "\r\n";
+        // Counted before the farewell, so a peer that saw it also sees the
+        // count.
+        server_->shed_connects_.fetch_add(1, std::memory_order_relaxed);
+        (void)SendSome(cfd, msg.data(), msg.size());
+        ::close(cfd);
+        continue;
+      }
+      server_->live_conns_.fetch_add(1, std::memory_order_relaxed);
+      server_->accepted_.fetch_add(1, std::memory_order_relaxed);
+      SetTcpNoDelay(cfd);
+      auto conn = std::make_shared<Conn>();
+      conn->fd = cfd;
+      conn->loop = this;
+      conn->session = std::move(session);
+      if (!input_pool_.empty()) {
+        conn->input.AdoptStorage(std::move(input_pool_.back()));
+        input_pool_.pop_back();
+      }
+      RegisterConn(conn);
+    }
+    if (taken > 0) {
+      // An exclusive wake-up goes to the first blocked loop in the
+      // listener's wait queue. Re-adding moves this loop to the back, so
+      // idle loops take new connections in turn, spreading them as
+      // round-robin would, instead of the first loop taking them all.
+      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, listen_fd, nullptr);
+      Watch(listen_fd, EPOLLIN | EPOLLEXCLUSIVE);
+    }
+  }
+
+  void RegisterConn(const std::shared_ptr<Conn>& conn) {
+    if (!Watch(conn->fd, EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET)) {
       server_->live_conns_.fetch_sub(1, std::memory_order_relaxed);
-      return;
+      return;  // ~Conn closes the fd
     }
     conns_[conn->fd] = conn;
     {
       std::scoped_lock lock(conn->mu);
       conn->last_active_ms = NowMs();
-      server_->QueueResponseLocked(
-          conn, conn->is_smtp ? smtp::SmtpSession::Greeting() : smtp::Pop3Session::Greeting());
+      server_->QueueResponseLocked(conn, conn->session->dialect().greeting);
     }
     // Edge-triggered: bytes that arrived before the ADD only produce an
     // edge on some kernels; read eagerly to be safe.
@@ -332,8 +377,7 @@ class EventLoop {
       // drops offsets only — a view an executor still holds stays backed
       // (closing stops all further reads into the buffer).
       conn->input.Clear();
-      server_->QueueResponseLocked(conn,
-                                   conn->is_smtp ? "500 line too long" : "-ERR line too long");
+      server_->QueueResponseLocked(conn, conn->session->dialect().line_too_long);
       conn->closing = true;
       if (conn->outbuf.size() == conn->outoff) {
         RetireLockedFromLoop(conn);
@@ -360,12 +404,14 @@ class EventLoop {
     if (!conn->executing) {
       // No executor can still hold a view into the buffer: recycle it.
       // (With `executing` set the storage just dies with the Conn.)
-      server_->ReleaseInputStorage(conn->input.ReleaseStorage());
+      std::vector<char> storage = conn->input.ReleaseStorage();
+      if (!storage.empty() && input_pool_.size() < kInputPoolCap) {
+        input_pool_.push_back(std::move(storage));
+      }
     }
   }
 
   MailNetServer* server_;
-  uint64_t id_;
   int epfd_ = -1;
   int evfd_ = -1;
   std::thread thread_;
@@ -374,13 +420,16 @@ class EventLoop {
   uint64_t last_sweep_ms_ = 0;  // loop-thread-only
 
   std::mutex pending_mu_;
-  std::vector<std::shared_ptr<Conn>> pending_add_;
   std::vector<std::shared_ptr<Conn>> pending_retire_;
   std::vector<std::shared_ptr<Conn>> pending_resume_;
   std::atomic<bool> nudge_pending_{false};
 
-  // Loop-thread-only.
+  // Loop-thread-only. A connection is accepted and retired on the same
+  // loop, so retired connections donate their receive-buffer storage here
+  // and new ones adopt it: steady-state accepts allocate no buffer.
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
+  static constexpr size_t kInputPoolCap = 64;
+  std::vector<std::vector<char>> input_pool_;
 };
 
 MailNetServer::Conn::~Conn() {
@@ -417,7 +466,7 @@ bool MailNetServer::Start() {
   SetNonblocking(smtp_listen_fd_);
   SetNonblocking(pop3_listen_fd_);
   for (uint64_t i = 0; i < options_.num_loops; ++i) {
-    auto loop = std::make_unique<EventLoop>(this, i);
+    auto loop = std::make_unique<EventLoop>(this);
     if (!loop->Init()) {
       std::fprintf(stderr, "MailNetServer: epoll init failed: %s\n", std::strerror(errno));
       return false;
@@ -432,7 +481,6 @@ bool MailNetServer::Start() {
   for (uint64_t i = 0; i < options_.num_executors; ++i) {
     executors_.emplace_back([this, i] { ExecutorMain(&executor_slots_[i], i); });
   }
-  acceptor_ = std::thread([this] { AcceptorMain(); });
   started_ = true;
   return true;
 }
@@ -442,7 +490,6 @@ void MailNetServer::Stop() {
     return;
   }
   stop_.store(true, std::memory_order_relaxed);
-  acceptor_.join();
   {
     // Under work_mu_, so an executor between its stop check and its wait
     // cannot miss the wake-up: it is either on the stack already or will
@@ -450,6 +497,7 @@ void MailNetServer::Stop() {
     std::scoped_lock lock(work_mu_);
     for (Executor* idle : idle_) {
       idle->woken = true;
+      ++woken_;
       idle->cv.notify_one();
     }
     idle_.clear();
@@ -486,95 +534,19 @@ bool MailNetServer::Drain(uint64_t timeout_ms) {
   return live_conns_.load(std::memory_order_relaxed) <= 0;
 }
 
-void MailNetServer::AcceptorMain() {
-  struct pollfd fds[2];
-  fds[0].fd = smtp_listen_fd_;
-  fds[1].fd = pop3_listen_fd_;
-  fds[0].events = fds[1].events = POLLIN;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    int n = ::poll(fds, 2, /*timeout_ms=*/100);
-    if (n < 0 && errno != EINTR) {
-      break;
-    }
-    if (n <= 0) {
-      continue;
-    }
-    for (int which = 0; which < 2; ++which) {
-      if (!(fds[which].revents & POLLIN)) {
-        continue;
-      }
-      for (;;) {
-        int cfd = Accept4(fds[which].fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (cfd < 0) {
-          break;  // EAGAIN (or a transient accept error): back to poll
-        }
-        // Overload shedding / drain: refuse at the door with an honest 421
-        // (a retriable code, unlike a silent RST) instead of queueing work
-        // the executors can't keep up with.
-        bool drain = draining_.load(std::memory_order_relaxed);
-        if (drain || (options_.max_conns > 0 &&
-                      live_conns_.load(std::memory_order_relaxed) >=
-                          static_cast<int64_t>(options_.max_conns))) {
-          const char* msg =
-              which == 0
-                  ? (drain ? "421 server shutting down\r\n" : "421 too busy, try again later\r\n")
-                  : (drain ? "-ERR server shutting down\r\n" : "-ERR busy, try again later\r\n");
-          // Counted before the farewell, so a peer that saw it also sees
-          // the count.
-          shed_connects_.fetch_add(1, std::memory_order_relaxed);
-          (void)SendSome(cfd, msg, std::strlen(msg));
-          ::close(cfd);
-          continue;
-        }
-        live_conns_.fetch_add(1, std::memory_order_relaxed);
-        SetTcpNoDelay(cfd);
-        auto conn = std::make_shared<Conn>();
-        conn->fd = cfd;
-        conn->input.AdoptStorage(AcquireInputStorage());
-        conn->is_smtp = which == 0;
-        if (conn->is_smtp) {
-          conn->smtp = std::make_unique<smtp::SmtpSession>(mail_);
-        } else {
-          conn->pop3 = std::make_unique<smtp::Pop3Session>(mail_);
-        }
-        uint64_t loop_idx = next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-        conn->loop = loops_[loop_idx].get();
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        conn->loop->AddConn(std::move(conn));
-      }
-    }
-  }
-}
-
-std::vector<char> MailNetServer::AcquireInputStorage() {
-  std::scoped_lock lock(pool_mu_);
-  if (input_pool_.empty()) {
-    return {};
-  }
-  std::vector<char> storage = std::move(input_pool_.back());
-  input_pool_.pop_back();
-  return storage;
-}
-
-void MailNetServer::ReleaseInputStorage(std::vector<char> storage) {
-  if (storage.empty()) {
-    return;
-  }
-  std::scoped_lock lock(pool_mu_);
-  if (input_pool_.size() < 256) {
-    input_pool_.push_back(std::move(storage));
-  }
-}
-
 void MailNetServer::EnqueueWork(std::shared_ptr<Conn> conn) {
   Executor* wake = nullptr;
   {
     std::scoped_lock lock(work_mu_);
     work_.push_back(std::move(conn));
-    if (!idle_.empty()) {
+    // A running executor finishing its line may take the item before a
+    // woken one is scheduled; waking one per item regardless left the
+    // rest to wake for nothing and dug ever deeper into the idle stack.
+    if (!idle_.empty() && woken_ < work_.size()) {
       wake = idle_.back();
       idle_.pop_back();
       wake->woken = true;
+      ++woken_;
     }
   }
   if (wake != nullptr) {
@@ -593,6 +565,7 @@ void MailNetServer::ExecutorMain(Executor* self, uint64_t executor_id) {
         self->woken = false;
         idle_.push_back(self);
         self->cv.wait(lock, [&] { return self->woken; });
+        --woken_;
       }
       if (stop_.load(std::memory_order_relaxed)) {
         return;  // queued connections die with the server
@@ -653,9 +626,7 @@ void MailNetServer::ServeConn(const std::shared_ptr<Conn>& conn, uint64_t execut
     if (eof) {
       // Mid-session disconnect: a POP3 session may hold its user's pickup
       // lock — release it (deleting nothing), per the Abort contract.
-      if (conn->pop3 != nullptr && !conn->pop3->quit()) {
-        proc::RunSyncVoid(conn->pop3->Abort());
-      }
+      proc::RunSyncVoid(conn->session->Abort());
       {
         std::scoped_lock lock(conn->mu);
         conn->closing = true;
@@ -666,14 +637,12 @@ void MailNetServer::ServeConn(const std::shared_ptr<Conn>& conn, uint64_t execut
     }
     std::string resp;
     {
-      TraceScope trace(options_.trace, conn->is_smtp ? "smtp_line" : "pop3_line", "serve",
-                       executor_id);
+      TraceScope trace(options_.trace, conn->session->dialect().line_event, "serve", executor_id);
       stage::StageScope exec_stage(stage::kExecute);
-      resp = conn->is_smtp ? proc::RunSync(conn->smtp->HandleLine(line))
-                           : proc::RunSync(conn->pop3->HandleLine(line));
+      resp = proc::RunSync(conn->session->HandleLine(line));
     }
     lines_served_.fetch_add(1, std::memory_order_relaxed);
-    bool quit = conn->is_smtp ? conn->smtp->quit() : conn->pop3->quit();
+    bool quit = conn->session->quit();
     bool retire_now = false;
     {
       std::scoped_lock lock(conn->mu);

@@ -4,14 +4,15 @@
 // GroupCommitter installed on the filesystem's fsync seam).
 //
 // Thread architecture (DESIGN.md §14):
-//   * 1 acceptor thread: blocking poll on the two listening sockets,
-//     accept4(SOCK_NONBLOCK), round-robins connections across event loops.
-//   * N event-loop threads: each owns an epoll set (edge-triggered) and the
-//     read/write buffers of its connections. Loops never block on the mail
-//     store — they only move bytes and carve out complete lines.
-//   * M executor threads: run the per-connection session state machines
-//     (SmtpSession / Pop3Session over MailApi) one line at a time via
-//     proc::RunSync. Executors are the only threads that touch the store,
+//   * N event-loop threads: each owns an epoll set and the read/write
+//     buffers of its connections. Both listening sockets sit in every set
+//     (level-triggered, EPOLLEXCLUSIVE, so a new connection wakes one idle
+//     loop); the loop that accepts a connection registers (edge-triggered)
+//     and greets it, and serves its bytes until it closes. Loops never
+//     block on the mail store — they only move bytes and carve out
+//     complete lines.
+//   * M executor threads: run the per-connection sessions (smtp::Session
+//     over MailApi) one line at a time via proc::RunSync. Executors are the only threads that touch the store,
 //     so they are the only threads that block (on locks and on the group
 //     commit barrier). Idle executors wait on a LIFO stack: new work goes
 //     to the most recently idle one, so only as many executors run (and
@@ -40,8 +41,7 @@
 #include "src/mailboat/mail_api.h"
 #include "src/netserv/line_buffer.h"
 #include "src/netserv/trace_event.h"
-#include "src/smtp/pop3.h"
-#include "src/smtp/smtp.h"
+#include "src/smtp/session.h"
 
 namespace perennial::netserv {
 
@@ -70,7 +70,7 @@ class MailNetServer {
     // releases it (Abort) instead of pinning the mailbox forever.
     uint64_t idle_timeout_ms = 0;
     // Accept at most this many live connections (0 = unlimited). Beyond
-    // the cap the acceptor answers "421 too busy" / "-ERR busy" and closes
+    // the cap the accepting loop answers "421 too busy" / "-ERR busy" and closes
     // immediately — bounded memory and executor queue under connection
     // floods, and an honest signal clients can back off on.
     uint64_t max_conns = 0;
@@ -120,7 +120,6 @@ class MailNetServer {
     ~Conn();  // closes fd if no retire path got to it (shutdown stragglers)
 
     int fd = -1;
-    bool is_smtp = true;
     EventLoop* loop = nullptr;
 
     std::mutex mu;  // guards everything below
@@ -141,8 +140,7 @@ class MailNetServer {
     // sweep compares it against Options::idle_timeout_ms.
     uint64_t last_active_ms = 0;
 
-    std::unique_ptr<smtp::SmtpSession> smtp;
-    std::unique_ptr<smtp::Pop3Session> pop3;
+    std::unique_ptr<smtp::Session> session;
   };
 
   // One per executor thread; outlives the threads so a waker may notify
@@ -153,16 +151,10 @@ class MailNetServer {
     bool used = false;   // touched only by the executor's own thread
   };
 
-  void AcceptorMain();
   void ExecutorMain(Executor* self, uint64_t executor_id);
   // Runs session lines until the conn's queue drains; called by executors.
   void ServeConn(const std::shared_ptr<Conn>& conn, uint64_t executor_id);
   void EnqueueWork(std::shared_ptr<Conn> conn);  // executing flag already set
-
-  // Receive-buffer pool: retired connections donate their buffer storage,
-  // new connections adopt one — steady-state accepts allocate nothing.
-  std::vector<char> AcquireInputStorage();
-  void ReleaseInputStorage(std::vector<char> storage);
 
   // Appends `resp` + CRLF to conn->outbuf and flushes what it can.
   // mu must be held by the caller.
@@ -184,20 +176,19 @@ class MailNetServer {
   bool started_ = false;
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::thread acceptor_;
   std::unique_ptr<Executor[]> executor_slots_;
   std::vector<std::thread> executors_;
 
   std::mutex work_mu_;
   std::deque<std::shared_ptr<Conn>> work_;
   std::vector<Executor*> idle_;  // waiting executors; back = most recently idle
-
-  std::mutex pool_mu_;
-  std::vector<std::vector<char>> input_pool_;
+  // Executors popped off idle_ that have not yet re-taken work_mu_. Each
+  // will take a queued item if one is left, so new work wakes another
+  // executor only while the queue outgrows them.
+  size_t woken_ = 0;
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> lines_served_{0};
-  std::atomic<uint64_t> next_loop_{0};
   std::atomic<uint64_t> shed_connects_{0};
   std::atomic<uint64_t> idle_reaped_{0};
   std::atomic<uint64_t> executors_used_{0};

@@ -302,17 +302,16 @@ struct ExplorerOptions {
   // make progress. 0 = off.
   uint64_t cancel_after_decisions = 0;
   // Write a checkpoint here on any durability stop, on completion, and at
-  // the checkpoint_every_* cadence. Empty = never write.
+  // the checkpoint_every_execs cadence. Empty = never write.
   std::string checkpoint_path;
   // Load-and-continue from this checkpoint at Run() start. A missing,
   // torn, corrupt, version-bumped, or configuration-mismatched file is
   // rejected (stderr warning) and the run starts from scratch.
   std::string resume_path;
   // Periodic checkpoint cadence while the run is healthy: every N
-  // executions and/or every N seconds (whichever fires first), checked at
-  // execution boundaries. 0 = only on stop/completion.
+  // executions, checked at execution boundaries. 0 = only on
+  // stop/completion.
   uint64_t checkpoint_every_execs = 0;
-  uint64_t checkpoint_every_secs = 0;
   // Distinguishes otherwise identically-configured runs of different
   // systems: mixed into the checkpoint config fingerprint so e.g. a
   // wal-recovery checkpoint cannot resume a repl-2writers sweep.
@@ -1143,8 +1142,8 @@ class Explorer {
     schedule_log_.clear();
     auto add_violation = [&](std::string kind, std::string detail_msg) {
       if (report->violations.size() < static_cast<size_t>(options_.max_violations)) {
-        Violation v{std::move(kind), std::move(detail_msg), trace.empty() ? "(empty)" : trace};
-        v.schedule = schedule_log_;
+        Violation v{std::move(kind), std::move(detail_msg), trace.empty() ? "(empty)" : trace,
+                    schedule_log_};
         report->violations.push_back(std::move(v));
       }
     };
@@ -1638,15 +1637,9 @@ class ItemScheduler {
         add(checked_, r.histories_checked, &seen->histories_checked),
         add(deduped_, r.histories_deduped, &seen->histories_deduped),
         add(pruned_, r.por_pruned, &seen->por_pruned)};
-    if (!options_.checkpoint_path.empty() &&
-        (options_.checkpoint_every_execs > 0 || options_.checkpoint_every_secs > 0)) {
+    if (!options_.checkpoint_path.empty() && options_.checkpoint_every_execs > 0) {
       std::scoped_lock lock(ckpt_mu_);
-      const bool due =
-          (options_.checkpoint_every_execs > 0 &&
-           totals.executions >= last_ckpt_execs_ + options_.checkpoint_every_execs) ||
-          (options_.checkpoint_every_secs > 0 &&
-           Clock::now() >= last_ckpt_time_ + std::chrono::seconds(options_.checkpoint_every_secs));
-      if (due) {
+      if (totals.executions >= last_ckpt_execs_ + options_.checkpoint_every_execs) {
         WriteCheckpoint(i, &item);
       }
     }
@@ -1727,7 +1720,6 @@ class ItemScheduler {
       std::fprintf(stderr, "[explorer] checkpoint write failed: %s\n", st.ToString().c_str());
     }
     last_ckpt_execs_ = executions_.load(std::memory_order_relaxed);
-    last_ckpt_time_ = Clock::now();
   }
 
   void Watchdog(const std::stop_token& stop) {
@@ -1789,9 +1781,8 @@ class ItemScheduler {
   std::atomic<uint64_t> deduped_{0};
   std::atomic<uint64_t> pruned_{0};
   std::mutex progress_mu_;  // one progress_callback caller at a time
-  std::mutex ckpt_mu_;      // one checkpoint writer at a time; guards last_ckpt_*
+  std::mutex ckpt_mu_;      // one checkpoint writer at a time; guards last_ckpt_execs_
   uint64_t last_ckpt_execs_ = 0;
-  Clock::time_point last_ckpt_time_ = Clock::now();
 };
 
 }  // namespace perennial::refine

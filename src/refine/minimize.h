@@ -116,7 +116,6 @@ MinimizeResult MinimizeSchedule(const Spec& spec,
   opts.checkpoint_path.clear();
   opts.resume_path.clear();
   opts.checkpoint_every_execs = 0;
-  opts.checkpoint_every_secs = 0;
 
   MinimizeResult result;
   Explorer<Spec> engine(spec, factory, opts);

@@ -96,7 +96,7 @@ struct Violation {
   // (every decision, in order). Excluded from ToString — the trace string
   // above is the human-readable rendering; this is the machine-replayable
   // one.
-  std::vector<ScheduleDecision> schedule;
+  std::vector<ScheduleDecision> schedule{};
 
   std::string ToString() const { return kind + ": " + detail + "\n  schedule: " + trace; }
 };

@@ -1,8 +1,5 @@
 #include "src/smtp/mail_serverd.h"
 
-#include "src/smtp/pop3.h"
-#include "src/smtp/smtp.h"
-
 namespace perennial::smtp {
 
 LineConn MakeConn(goose::World* world) {
@@ -13,34 +10,20 @@ LineConn MakeConn(goose::World* world) {
 }
 
 proc::Task<void> MailServerd::ServeConn(Protocol protocol, LineConn conn) {
-  if (protocol == Protocol::kSmtp) {
-    SmtpSession session(mail_);
-    co_await conn.to_client->Send(SmtpSession::Greeting());
-    while (!session.quit()) {
-      std::optional<std::string> line = co_await conn.to_server->Recv();
-      if (!line.has_value()) {
-        break;  // client hung up; SMTP has no lock state to release
-      }
-      std::string response = co_await session.HandleLine(*line);
-      if (!response.empty()) {
-        co_await conn.to_client->Send(response);
-      }
-    }
-    co_await conn.to_client->Close();
-    co_return;
-  }
-  Pop3Session session(mail_);
-  co_await conn.to_client->Send(Pop3Session::Greeting());
-  while (!session.quit()) {
+  std::unique_ptr<Session> session = NewSession(protocol, mail_);
+  co_await conn.to_client->Send(session->dialect().greeting);
+  while (!session->quit()) {
     std::optional<std::string> line = co_await conn.to_server->Recv();
     if (!line.has_value()) {
-      // Dropped connection: release the mailbox lock without committing
-      // any deletions (§8.1: Unlock on disconnect).
-      co_await session.Abort();
+      // Dropped connection: a POP3 session releases its mailbox lock
+      // without committing any deletions (§8.1: Unlock on disconnect).
+      co_await session->Abort();
       break;
     }
-    std::string response = co_await session.HandleLine(*line);
-    co_await conn.to_client->Send(response);
+    std::string response = co_await session->HandleLine(*line);
+    if (!response.empty()) {
+      co_await conn.to_client->Send(std::move(response));
+    }
   }
   co_await conn.to_client->Close();
 }

@@ -21,10 +21,9 @@
 #include "src/goose/world.h"
 #include "src/mailboat/mail_api.h"
 #include "src/proc/task.h"
+#include "src/smtp/session.h"
 
 namespace perennial::smtp {
-
-enum class Protocol { kSmtp, kPop3 };
 
 // One logical connection (both stream directions).
 struct LineConn {

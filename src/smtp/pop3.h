@@ -16,24 +16,32 @@
 #include "src/mailboat/mail_api.h"
 #include "src/mailboat/mailboat.h"
 #include "src/proc/task.h"
+#include "src/smtp/session.h"
 
 namespace perennial::smtp {
 
-class Pop3Session {
+class Pop3Session : public Session {
  public:
+  static constexpr Dialect kDialect{
+      .line_event = "pop3_line",
+      .greeting = "+OK perennial-cc POP3 ready",
+      .busy = "-ERR busy, try again later",
+      .shutting_down = "-ERR server shutting down",
+      .idle_timeout = "-ERR idle timeout",
+      .line_too_long = "-ERR line too long",
+  };
+
   explicit Pop3Session(mailboat::MailApi* mail) : mail_(mail) {}
 
-  static std::string Greeting() { return "+OK perennial-cc POP3 ready"; }
+  const Dialect& dialect() const override { return kDialect; }
 
-  // Processes one client line; multi-line responses are joined with "\r\n"
-  // and terminated with a lone "." line, as on the wire. The view is
-  // borrowed; it must stay valid until the returned task completes.
-  proc::Task<std::string> HandleLine(std::string_view line);
+  // Multi-line responses end with a lone "." line, as on the wire.
+  proc::Task<std::string> HandleLine(std::string_view line) override;
 
-  // Connection dropped without QUIT: release the lock, delete nothing.
-  proc::Task<void> Abort();
+  // Release the lock, delete nothing.
+  proc::Task<void> Abort() override;
 
-  bool quit() const { return quit_; }
+  bool quit() const override { return quit_; }
 
  private:
   enum class State { kAuthUser, kAuthPass, kTransaction, kDone };

@@ -1,9 +1,8 @@
 // A minimal SMTP server session over the Mailboat API (§8.2: "we used the
 // library to implement an SMTP- and POP3-compatible mail server").
 //
-// The session is transport-agnostic: feed it one command line at a time
-// and write back the returned responses. The example mail server drives it
-// from an in-process line loop; a socket loop would work identically.
+// The session is transport-agnostic (see session.h): feed it one command
+// line at a time and write back the returned responses.
 // Protocol subset: HELO/EHLO, MAIL FROM, RCPT TO (multiple), DATA, RSET,
 // NOOP, QUIT. Addresses are user<N>@<anything>, mapping to Mailboat user N.
 #ifndef PERENNIAL_SRC_SMTP_SMTP_H_
@@ -17,6 +16,7 @@
 
 #include "src/mailboat/mail_api.h"
 #include "src/proc/task.h"
+#include "src/smtp/session.h"
 
 namespace perennial::smtp {
 
@@ -24,21 +24,29 @@ namespace perennial::smtp {
 // Returns nullopt for anything else or N >= num_users.
 std::optional<uint64_t> ParseUserAddress(std::string_view addr, uint64_t num_users);
 
-class SmtpSession {
+class SmtpSession : public Session {
  public:
+  static constexpr Dialect kDialect{
+      .line_event = "smtp_line",
+      .greeting = "220 perennial-cc mail service ready",
+      .busy = "421 too busy, try again later",
+      .shutting_down = "421 server shutting down",
+      .idle_timeout = "421 idle timeout",
+      .line_too_long = "500 line too long",
+  };
+
   explicit SmtpSession(mailboat::MailApi* mail) : mail_(mail) {}
 
-  // The server's opening banner (send before reading any command).
-  static std::string Greeting() { return "220 perennial-cc mail service ready"; }
+  const Dialect& dialect() const override { return kDialect; }
 
-  // Processes one client line; returns the full response (single line, no
-  // trailing newline). Delivery happens when the DATA terminator arrives.
-  // The view is borrowed: it must stay valid (bytes unmoved) until the
-  // returned task completes — netserv guarantees this by never compacting
-  // the receive buffer while a line is checked out.
-  proc::Task<std::string> HandleLine(std::string_view line);
+  // Single-line responses; nothing while in DATA. Delivery happens when
+  // the DATA terminator arrives.
+  proc::Task<std::string> HandleLine(std::string_view line) override;
 
-  bool quit() const { return quit_; }
+  // SMTP holds no lock between commands: a half-sent message just dies.
+  proc::Task<void> Abort() override { co_return; }
+
+  bool quit() const override { return quit_; }
 
  private:
   enum class State { kCommand, kData };

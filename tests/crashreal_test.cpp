@@ -55,8 +55,8 @@ class CrashRealTest : public ::testing::Test {
 // The acceptance soak: >= 200 seeded kill/recover rounds per system per
 // regime with zero divergences (and in particular zero unclassified ones).
 TEST_F(CrashRealTest, Soak200RoundsPerCellIsClean) {
-  for (const std::string& system : {"txnlog", "mailboat"}) {
-    for (const std::string& regime : {"kill", "powerfail"}) {
+  for (const char* system : {"txnlog", "mailboat"}) {
+    for (const char* regime : {"kill", "powerfail"}) {
       Result<SoakSummary> r = RunSoak(Config(system, regime, 200));
       ASSERT_TRUE(r.ok()) << system << "/" << regime << ": " << r.status().ToString();
       const SoakSummary& s = r.value();

@@ -48,7 +48,7 @@ TEST_F(MailServerdTest, SingleSmtpSessionDelivers) {
               "client");
   DrainRoundRobin(sched);
   ASSERT_GE(responses.size(), 2u);
-  EXPECT_EQ(responses.front(), SmtpSession::Greeting());
+  EXPECT_EQ(responses.front(), SmtpSession::kDialect.greeting);
   EXPECT_EQ(responses.back(), "221 Bye");
   EXPECT_EQ(fs_.PeekNames("user0").size(), 1u);
 }
@@ -117,7 +117,7 @@ TEST_F(MailServerdTest, SmtpThenPop3EndToEnd) {
                "pop3-client");
   DrainRoundRobin(sched2);
   ASSERT_GE(responses.size(), 5u);
-  EXPECT_EQ(responses[0], Pop3Session::Greeting());
+  EXPECT_EQ(responses[0], Pop3Session::kDialect.greeting);
   EXPECT_EQ(responses[2], "+OK 1 messages");
   EXPECT_NE(responses[4].find("subject"), std::string::npos);
   EXPECT_TRUE(fs_.PeekNames("user1").empty());  // deleted at QUIT

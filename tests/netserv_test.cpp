@@ -1,7 +1,8 @@
 // Tier-1 loopback tests for the production mail server (src/netserv):
 // real sockets against MailNetServer, the GroupCommitter batching/dedup
-// contract, EINTR injection through the socket syscall seam, and the
-// loadgen driving a small in-process run.
+// contract, EINTR injection through the socket syscall seam, accepting on
+// four loops under connect bursts and storms, and the loadgen driving a
+// small in-process run.
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -15,6 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -25,6 +28,7 @@
 #include "src/netserv/harness.h"
 #include "src/netserv/loadgen.h"
 #include "src/netserv/net.h"
+#include "src/netserv/server.h"
 #include "src/netserv/trace_event.h"
 
 namespace perennial::netserv {
@@ -866,7 +870,7 @@ TEST(NetservTest, IdleConnectionsReapedAndLocksReleased) {
   server.Stop();
 }
 
-// Beyond max_conns the acceptor sheds with an honest 421 and the server
+// Beyond max_conns the accepting loop sheds with an honest 421 and the server
 // stays fully healthy for the connections it admitted.
 TEST(NetservTest, MaxConnsShedsBeyond421) {
   InprocMailServer::Config config = SmallConfig(TestRoot("shed"));
@@ -1016,6 +1020,105 @@ TEST(NetservTest, RepeatedStartStopNeverHangs) {
   }
   done.store(true);
   watchdog.join();
+}
+
+// With four loops on both listening sockets, a burst of concurrent connects
+// on both ports is accepted, greeted and served in full: no connection is
+// lost between the loops that race to accept it.
+TEST(NetservTest, ConnectBurstOnBothPortsIsAllServed) {
+  InprocMailServer::Config config = SmallConfig(TestRoot("burst"));
+  config.loops = 4;
+  InprocMailServer server(config);
+  ASSERT_TRUE(server.Start());
+
+  constexpr int kThreads = 8;
+  constexpr int kConnsPerThread = 16;
+  std::atomic<int> served{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      bool smtp = t % 2 == 0;
+      uint16_t port = smtp ? server.smtp_port() : server.pop3_port();
+      // Connect everything first, so the whole burst sits in the backlog.
+      std::vector<std::unique_ptr<BlockingLineConn>> conns;
+      for (int i = 0; i < kConnsPerThread; ++i) {
+        conns.push_back(std::make_unique<BlockingLineConn>(ConnectTcp(port)));
+      }
+      for (auto& conn : conns) {
+        std::string greeting;
+        std::string noop;
+        std::string bye;
+        if (conn->fd() >= 0 && conn->ReadLine(&greeting) && conn->WriteLine("NOOP") &&
+            conn->ReadLine(&noop) && conn->WriteLine("QUIT") && conn->ReadLine(&bye) &&
+            greeting.substr(0, 3) == (smtp ? "220" : "+OK") &&
+            noop.substr(0, 3) == (smtp ? "250" : "+OK") &&
+            bye.substr(0, 3) == (smtp ? "221" : "+OK")) {
+          served.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) {
+    t.join();
+  }
+  EXPECT_EQ(served.load(), kThreads * kConnsPerThread);
+  EXPECT_EQ(server.server()->accepted(), static_cast<uint64_t>(kThreads * kConnsPerThread));
+  EXPECT_EQ(server.server()->shed_connects(), 0u);
+  server.Stop();
+}
+
+size_t OpenFdCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+// Stop() in the middle of a connect storm closes every fd it opened: the
+// listening sockets, each loop's epoll set and eventfd, and every accepted
+// connection, whether greeted, mid-command or still in a loop's accept
+// batch. The store underneath is set up before the count and never touched
+// by the storm (greetings and NOOPs only).
+TEST(NetservTest, StopDuringConnectStormClosesEveryFd) {
+  InprocMailServer backing(SmallConfig(TestRoot("storm")));
+  ASSERT_TRUE(backing.Start());
+  MailNetServer::Options options;
+  options.num_loops = 4;
+  options.num_executors = 8;
+  MailNetServer server(backing.mail(), options);
+
+  size_t before = OpenFdCount();
+  ASSERT_TRUE(server.Start());
+  std::atomic<bool> storm_over{false};
+  std::atomic<uint64_t> greeted{0};
+  std::vector<std::thread> storm;
+  for (int t = 0; t < 8; ++t) {
+    storm.emplace_back([&, t] {
+      uint16_t port = t % 2 == 0 ? server.smtp_port() : server.pop3_port();
+      while (!storm_over.load()) {
+        BlockingLineConn conn(ConnectTcp(port));
+        std::string line;
+        if (conn.fd() >= 0 && conn.ReadLine(&line)) {
+          greeted.fetch_add(1);
+          // Half the connections leave a command in flight.
+          if (t % 4 < 2) {
+            conn.WriteLine("NOOP");
+          }
+        }
+      }
+    });
+  }
+  for (int i = 0; i < 1000 && greeted.load() < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  server.Stop();
+  storm_over.store(true);
+  for (auto& t : storm) {
+    t.join();
+  }
+  EXPECT_GE(greeted.load(), 200u);
+  EXPECT_EQ(OpenFdCount(), before);
 }
 
 }  // namespace
