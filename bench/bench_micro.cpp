@@ -20,10 +20,12 @@
 #include "src/goose/world.h"
 #include "src/goosefs/goosefs.h"
 #include "src/goosefs/posix_fs.h"
+#include "src/mailboat/mail_harness.h"
 #include "src/mailboat/mailboat.h"
 #include "src/refine/explorer.h"
 #include "src/refine/linearize.h"
 #include "src/refine/parallel_explorer.h"
+#include "src/systems/pattern_harness.h"
 #include "src/systems/repl/repl_harness.h"
 #include "src/systems/txnlog/txn_log.h"
 #include "tests/sim_util.h"
@@ -227,6 +229,46 @@ BENCHMARK(BM_ExplorerExhaustiveWorkers)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// The two exhaustive verdicts of perfbench's check-verify workload (POR on)
+// at N ParallelExplorer workers. Arg 0 picks the system: 0 = WAL, three
+// writers, two crashes (54,277 executions); 1 = Mailboat, two deliveries
+// and a pickup-delete, one crash (68,765). Arg 1 = workers.
+void BM_ExplorerExhaustiveWorkersCheckVerify(benchmark::State& state) {
+  using namespace perennial::systems;  // NOLINT
+  using perennial::mailboat::MailAction;
+  const bool mail = state.range(0) != 0;
+  refine::ExplorerOptions opts;
+  opts.max_crashes = mail ? 1 : 2;
+  opts.use_por = true;
+  opts.num_workers = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    refine::Report report;
+    if (mail) {
+      mailboat::MailHarnessOptions options;
+      options.num_users = 1;
+      options.client_scripts = {{{MailAction::Kind::kDeliver, 0, "a"}},
+                                {{MailAction::Kind::kDeliver, 0, "b"}},
+                                {{MailAction::Kind::kPickupDeleteAllUnlock, 0, ""}}};
+      report = refine::ParallelExplorer<mailboat::MailSpec>(
+                   mailboat::MailSpec{1}, [&] { return mailboat::MakeMailInstance(options); }, opts)
+                   .Run();
+    } else {
+      WalHarnessOptions options;
+      options.client_ops = {
+          {PairSpec::MakeWrite(1, 2)}, {PairSpec::MakeWrite(3, 4)}, {PairSpec::MakeWrite(5, 6)}};
+      report = refine::ParallelExplorer<PairSpec>(
+                   PairSpec{}, [&] { return MakeWalInstance(options); }, opts)
+                   .Run();
+    }
+    benchmark::DoNotOptimize(report);
+    state.counters["executions"] = static_cast<double>(report.executions);
+    state.counters["spec_states"] = static_cast<double>(report.spec_states_explored);
+  }
+}
+BENCHMARK(BM_ExplorerExhaustiveWorkersCheckVerify)
+    ->ArgsProduct({{0, 1}, {1, 2, 4}})
     ->Unit(benchmark::kMillisecond);
 
 // Sleep-set POR on the same workload: fewer executions (see the counter)

@@ -11,6 +11,10 @@
 // the ids observed anywhere in the history plus one synthetic id per
 // delivery — ids that are never observed are interchangeable, so this
 // loses no generality.
+//
+// The spec compares equal by (num_users, id_pool): the linearizer resumes
+// a history from the previous one's retained frontiers whenever Prepare
+// leaves an equal spec, and re-derives from event 0 otherwise.
 #ifndef PERENNIAL_SRC_MAILBOAT_MAIL_SPEC_H_
 #define PERENNIAL_SRC_MAILBOAT_MAIL_SPEC_H_
 
@@ -48,6 +52,7 @@ struct MailSpec {
 
   uint64_t num_users = 1;
   std::vector<std::string> id_pool{};  // filled by Prepare
+  friend bool operator==(const MailSpec&, const MailSpec&) = default;
 
   State Initial() const {
     State s;

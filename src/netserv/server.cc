@@ -450,6 +450,12 @@ MailNetServer::~MailNetServer() { Stop(); }
 
 bool MailNetServer::Start() {
   PCC_ENSURE(!started_, "MailNetServer: started twice");
+  // A restart begins from a clean slate: Stop leaves stop_ (and any drain)
+  // set, and may leave connections of the old loops queued. Stop has
+  // joined every thread, so idle_ is empty and woken_ zero.
+  stop_.store(false, std::memory_order_relaxed);
+  draining_.store(false, std::memory_order_relaxed);
+  work_.clear();
   smtp_listen_fd_ = ListenTcp(options_.smtp_port, &smtp_port_);
   pop3_listen_fd_ = ListenTcp(options_.pop3_port, &pop3_port_);
   if (smtp_listen_fd_ < 0 || pop3_listen_fd_ < 0) {

@@ -84,7 +84,10 @@ class MailNetServer {
   MailNetServer& operator=(const MailNetServer&) = delete;
 
   // Binds, listens, and spawns the thread fleet. False (with a message on
-  // stderr) if the ports can't be bound.
+  // stderr) if the ports can't be bound. May be called again after Stop:
+  // the restarted server serves (and drains) afresh, on newly bound ports
+  // when Options asks for ephemeral ones. accepted(), lines_served() and
+  // the shed/reap counts keep accumulating across restarts.
   bool Start();
   // Stops accepting, drains executors, closes every connection, joins all
   // threads. Safe to call twice.

@@ -54,8 +54,11 @@
 //
 // Specs with an optional `Prepare(events)` hook (data-dependent
 // nondeterminism, e.g. Mailboat's message-id pool) read the WHOLE history
-// before stepping; their frontiers are suffix-dependent, so the prefix
-// cache — and the cross-history spine below — is bypassed for them.
+// before stepping, so their frontiers are a function of (prefix, prepared
+// spec data) rather than of the prefix alone. The prefix cache is bypassed
+// for them. The cross-history spine below is reused only when the spec
+// that Prepare produced compares equal to the one the spine was built
+// under; a Prepare spec without operator== never resumes.
 //
 // HOT PATH (PR 4): the checker owns a per-search ARENA that is reset, not
 // freed, between histories. Frontiers live in a spine_ vector where
@@ -75,6 +78,7 @@
 #ifndef PERENNIAL_SRC_REFINE_LINEARIZE_H_
 #define PERENNIAL_SRC_REFINE_LINEARIZE_H_
 
+#include <concepts>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -132,11 +136,13 @@ class LinearizabilityChecker {
   using FrontierPtr = std::shared_ptr<const Frontier>;
   using FrontierCache = ShardedMemo<FrontierPtr>;
 
-  explicit LinearizabilityChecker(const Spec* spec) : spec_storage_(*spec), spec_(&spec_storage_) {}
+  explicit LinearizabilityChecker(const Spec* spec)
+      : spec_storage_(*spec), spec_(&spec_storage_), spine_spec_(*spec) {}
 
   // Optional prefix-frontier memoization (ExplorerOptions::
   // memoize_spec_prefixes); the cache may be shared across checkers and
-  // threads. Ignored for specs with a Prepare() hook — see header comment.
+  // threads. Ignored for specs with a Prepare() hook, whose frontiers also
+  // depend on the prepared data — see header comment.
   void set_frontier_cache(FrontierCache* cache) { cache_ = cache; }
 
   // nullopt when the history refines the spec; otherwise a description of
@@ -156,12 +162,17 @@ class LinearizabilityChecker {
     bool resumable = true;
     // Specs with data-dependent nondeterminism (e.g. Mailboat's random
     // message ids) pre-scan the history to bound their branch sets — their
-    // frontiers depend on the suffix, so they never touch the cache and
-    // never resume from a previous history's spine.
+    // frontiers depend on the prepared data as well as the prefix, so they
+    // never touch the cache, and they resume from the spine only if the
+    // prepared spec equals the one the spine was built under.
     if constexpr (requires(Spec& s) { s.Prepare(events); }) {
       spec_storage_.Prepare(events);
       cacheable = false;
-      resumable = false;
+      if constexpr (std::equality_comparable<Spec>) {
+        resumable = spec_storage_ == spine_spec_;
+      } else {
+        resumable = false;
+      }
     }
     // A helped event needs a crash to snapshot against; recovery only
     // emits kHelped after a crash, so this is a harness-integrity check.
@@ -189,8 +200,8 @@ class LinearizabilityChecker {
     // Pick the resume point: the deepest spine frontier within the BOTH
     // shared AND contiguously-valid prefix (spine_ok_ — a memo-cache hit
     // can leave a hole of stale slots below it, see below), or slot 0
-    // (built on first use; rebuilt every time for Prepare specs, whose
-    // Initial may observe prepared data).
+    // (built on first use; rebuilt for a Prepare spec whenever its
+    // prepared data changed, since Initial may observe it).
     size_t resume = 0;
     if (resumable && spine_ok_ > 0) {
       resume = std::min(std::min(reuse_events, spine_ok_ - 1), events.size());
@@ -199,6 +210,7 @@ class LinearizabilityChecker {
       BuildInitial(&spine_[0]);
       spine_states_[0] = 0;
       spine_ok_ = 1;
+      spine_spec_ = spec_storage_;
     }
     const size_t pre_hit_resume = resume;
     // A cached prefix deeper than the spine wins. The hit is used BY
@@ -223,6 +235,7 @@ class LinearizabilityChecker {
       }
     }
 
+    last_resume_ = resume;
     states_explored_ = hit_at == static_cast<size_t>(-1) ? spine_states_[resume] : 0;
     size_t idx = resume;
     while (idx < events.size()) {
@@ -266,6 +279,7 @@ class LinearizabilityChecker {
     size_t spine_slots = 0;       // frontier slots ever materialized
     size_t config_capacity = 0;   // sum of per-slot config vector capacities
     size_t seen_buckets = 0;      // dedup hash-set bucket count
+    size_t last_resume = 0;       // event the last Check resumed at (0 = from scratch)
   };
   ArenaStats arena_stats() const {
     ArenaStats s;
@@ -274,6 +288,7 @@ class LinearizabilityChecker {
       s.config_capacity += f.configs.capacity();
     }
     s.seen_buckets = seen_.bucket_count();
+    s.last_resume = last_resume_;
     return s;
   }
 
@@ -452,6 +467,11 @@ class LinearizabilityChecker {
   // Slots [0, spine_ok_) hold the LAST-CHECKED history's frontiers with no
   // stale holes; only these are eligible resume points for the next Check.
   size_t spine_ok_ = 0;
+  // The (prepared) spec the spine's frontiers were built under. A Prepare
+  // spec may resume from the spine only for a history that prepares an
+  // equal one.
+  Spec spine_spec_;
+  size_t last_resume_ = 0;               // see ArenaStats::last_resume
   std::unordered_set<Hash128, Hash128Hasher> seen_;  // per-event config dedup
   std::vector<Hash128> fp_;              // prefix fingerprints (cacheable runs)
 };

@@ -6,12 +6,15 @@
 // plateaus once the checker has seen the largest history shape. Running
 // this binary under ASan (-DPCC_SANITIZE=address) additionally checks that
 // spine reuse never touches freed or stale frontier storage.
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/mailboat/mail_spec.h"
 #include "src/refine/history.h"
 #include "src/refine/linearize.h"
 #include "src/tsys/transition.h"
@@ -203,6 +206,106 @@ TEST(LinearizeArena, SpineResumeMatchesFreshChecker) {
       ASSERT_EQ(reused.Check(base).has_value(), false);
     }
   }
+}
+
+// Mailboat histories: two deliveries returning ids x and y, a pickup
+// listing `msgs`, then either an unlock or a crash and a second pickup.
+using mailboat::MailSpec;
+using MailHist = History<MailSpec>;
+using Msgs = std::vector<std::pair<std::string, std::string>>;
+
+MailHist MakeMailHistory(const std::string& x, const std::string& y, const Msgs& msgs,
+                         bool crash) {
+  MailHist h;
+  uint64_t d1 = h.Invoke(0, MailSpec::MakeDeliver(0, "a"));
+  uint64_t d2 = h.Invoke(1, MailSpec::MakeDeliver(0, "b"));
+  h.Return(d1, MailSpec::Ret{x, {}});
+  h.Return(d2, MailSpec::Ret{y, {}});
+  uint64_t p = h.Invoke(2, MailSpec::MakePickup(0));
+  h.Return(p, MailSpec::Ret{"", msgs});
+  if (crash) {
+    h.Crash();
+    uint64_t p2 = h.Invoke(2, MailSpec::MakePickup(0));
+    h.Return(p2, MailSpec::Ret{"", msgs});
+  } else {
+    uint64_t u = h.Invoke(2, MailSpec::MakeUnlock(0));
+    h.Return(u, MailSpec::Ret{});
+  }
+  return h;
+}
+
+bool SameEvent(const MailHist::Event& a, const MailHist::Event& b) {
+  return a.kind == b.kind && a.op_id == b.op_id && a.client == b.client &&
+         a.op.kind == b.op.kind && a.op.user == b.op.user && a.op.arg == b.op.arg &&
+         a.ret == b.ret;
+}
+
+TEST(LinearizeArena, PreparedSpecResumeMatchesFreshChecker) {
+  // MailSpec's Prepare derives an id pool from the whole history, so a
+  // retained spine is reusable only for a history whose pool is equal.
+  // Consecutive histories below share prefixes; some prepare the pool of
+  // their predecessor, others add an id first observed after the shared
+  // prefix (the pickup's m3), which must force a from-scratch search.
+  const MailSpec spec{1};
+  LinearizabilityChecker<MailSpec> reused(&spec);
+  const std::vector<Msgs> pickups = {
+      {},
+      {{"m1", "a"}},
+      {{"m1", "a"}, {"m2", "b"}},
+      {{"m1", "a"}, {"m3", "b"}},
+      {{"m2", "b"}},
+      {{"m1", "b"}, {"m2", "a"}},
+  };
+  MailHist prev;
+  MailSpec prev_prepared = spec;
+  int resumed = 0;
+  int rebuilt_after_shared_deliveries = 0;
+  int accepted = 0;
+  int rejected = 0;
+  for (const char* x : {"m1", "m2", "m3"}) {
+    for (const char* y : {"m1", "m2", "m3"}) {
+      for (const Msgs& msgs : pickups) {
+        for (bool crash : {false, true}) {
+          MailHist h = MakeMailHistory(x, y, msgs, crash);
+          size_t shared = 0;
+          while (shared < std::min(h.events.size(), prev.events.size()) &&
+                 SameEvent(h.events[shared], prev.events[shared])) {
+            ++shared;
+          }
+          MailSpec prepared = spec;
+          prepared.Prepare(h.events);
+          const std::string where = std::string(x) + "/" + y + "/" +
+                                    std::to_string(msgs.size()) + (crash ? "/crash" : "");
+
+          LinearizabilityChecker<MailSpec> fresh(&spec);
+          auto expect = fresh.Check(h);
+          auto got = reused.Check(h, shared);
+          ASSERT_EQ(got.has_value(), expect.has_value()) << where;
+          ASSERT_EQ(reused.states_explored(), fresh.states_explored()) << where;
+          (expect.has_value() ? rejected : accepted) += 1;
+
+          const size_t resumed_at = reused.arena_stats().last_resume;
+          if (prepared == prev_prepared && shared > 0) {
+            EXPECT_GT(resumed_at, 0u) << where;
+            EXPECT_LE(resumed_at, shared) << where;
+            ++resumed;
+          } else {
+            EXPECT_EQ(resumed_at, 0u) << where;
+            // Both deliveries returned (4 events) inside the shared prefix.
+            rebuilt_after_shared_deliveries += shared >= 4 ? 1 : 0;
+          }
+          prev = std::move(h);
+          prev_prepared = std::move(prepared);
+        }
+      }
+    }
+  }
+  // The sequence exercises every branch: accepted and rejected verdicts,
+  // equal-pool resumes, and pools that differ past the shared prefix.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(resumed, 20);
+  EXPECT_GT(rebuilt_after_shared_deliveries, 5);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "src/mailboat/mail_spec.h"
 #include "src/mailboat/mailboat.h"
 #include "src/refine/explorer.h"
+#include "src/refine/parallel_explorer.h"
 #include "tests/sim_util.h"
 
 namespace perennial::mailboat {
@@ -18,6 +19,7 @@ using perennial::testing::SimRunVoid;
 using proc::Task;
 using refine::Explorer;
 using refine::ExplorerOptions;
+using refine::ParallelExplorer;
 using refine::Report;
 
 class MailboatTest : public ::testing::Test {
@@ -232,6 +234,35 @@ TEST(MailCheck, CrashDuringRecoveryRefines) {
   Explorer<MailSpec> ex(MailSpec{1}, [&] { return MakeMailInstance(options); }, opts);
   Report report = ex.Run();
   EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+// Pinned counts of one small exhaustive Mailboat verdict (POR on, up to
+// two crashes). The linearizer resumes a history from its predecessor's
+// frontiers when both prepare the same id pool; that must not move a single
+// count, serially or with 4 workers (whose histories resume from other
+// depths).
+TEST(MailCheck, ExhaustiveCountsArePinned) {
+  MailHarnessOptions options;
+  options.num_users = 1;
+  options.client_scripts = {
+      {{MailAction::Kind::kDeliver, 0, "a"}},
+      {{MailAction::Kind::kPickupDeleteAllUnlock, 0, ""}},
+  };
+  ExplorerOptions opts;
+  opts.mode = ExplorerOptions::Mode::kExhaustive;
+  opts.max_crashes = 2;
+  opts.use_por = true;
+  auto factory = [&] { return MakeMailInstance(options); };
+  Report serial = Explorer<MailSpec>(MailSpec{1}, factory, opts).Run();
+  opts.num_workers = 4;
+  Report parallel = ParallelExplorer<MailSpec>(MailSpec{1}, factory, opts).Run();
+  for (const Report* r : {&serial, &parallel}) {
+    EXPECT_TRUE(r->ok()) << r->Summary();
+    EXPECT_FALSE(r->truncated);
+    EXPECT_EQ(r->executions, 708u);
+    EXPECT_EQ(r->histories_checked, 708u);
+    EXPECT_EQ(r->spec_states_explored, 20525u);
+  }
 }
 
 TEST(MailCheck, TwoUsersRandomised) {

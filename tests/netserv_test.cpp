@@ -6,6 +6,7 @@
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -1020,6 +1021,40 @@ TEST(NetservTest, RepeatedStartStopNeverHangs) {
   }
   done.store(true);
   watchdog.join();
+}
+
+// Start after Stop brings up a server that serves again: Stop leaves its
+// executors' stop flag (and any drain) behind, and Start must clear them.
+// The probe's receive timeout turns an unserved command into a failure
+// instead of a hang.
+TEST(NetservTest, RestartAfterStopServesAgain) {
+  InprocMailServer backing(SmallConfig(TestRoot("restart")));
+  ASSERT_TRUE(backing.Start());
+  MailNetServer::Options options;
+  options.num_loops = 2;
+  options.num_executors = 4;
+  MailNetServer server(backing.mail(), options);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ASSERT_TRUE(server.Start());
+    BlockingLineConn probe(ConnectTcp(server.smtp_port()));
+    ASSERT_GE(probe.fd(), 0);
+    timeval timeout{5, 0};
+    ASSERT_EQ(::setsockopt(probe.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+    ExpectPrefix(probe, "220");
+    ASSERT_TRUE(probe.WriteLine("NOOP"));
+    std::string reply;
+    ASSERT_TRUE(probe.ReadLine(&reply)) << "no executor served the command";
+    EXPECT_EQ(reply.substr(0, 3), "250");
+    probe.Close();
+
+    const std::string body = "round " + std::to_string(round);
+    SmtpDeliver(server.smtp_port(), 2, {body});
+    std::vector<std::string> got = Pop3Fetch(server.pop3_port(), 2, /*delete_all=*/true);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], body + "\r\n");
+    server.Stop();
+  }
 }
 
 // With four loops on both listening sockets, a burst of concurrent connects
